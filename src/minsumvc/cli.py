@@ -76,9 +76,6 @@ labels file format (text):
   line 4: |V| labels for the V side, space-separated
 """
 
-THREADS_HELP = "worker cap for sweeps (all current sweeps run on one worker for bit-stable output)"
-
-
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -125,7 +122,6 @@ def _emit(payload, fmt):
 def _common_flags(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="output format on stdout (default json)")
-    sub.add_argument("--threads", type=int, default=1, metavar="N", help=THREADS_HELP)
 
 
 def _cmd_gaussian_gamma(args):

@@ -19,13 +19,21 @@ Text format (LF line endings, 0-based vertex ids)::
     msvc-graph 1
     <n> <m>
     <u> <v> <w>     (m lines)
+
+The record reader and writer in this module serve all four text
+formats (graph, unique games, labels, hardness config): blank lines after
+the header are skipped, row counts must match exactly, and errors name the
+line of the file.
 """
 
 from __future__ import annotations
 
+import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,44 +54,44 @@ class GraphFormatError(ValueError):
     """A graph/instance file does not match its documented text format."""
 
 
+def _edge_problem(n, u, v, w):
+    """(row, reason) for the first edge that breaks the graph invariants, or None."""
+    bad = {
+        "vertex id out of range": (u < 0) | (u >= n) | (v < 0) | (v >= n),
+        "self-loop": u == v,
+        "weight must be positive and finite": ~(np.isfinite(w) & (w > 0.0)),
+    }
+    first = {reason: int(np.argmax(mask)) for reason, mask in bad.items() if mask.any()}
+    if not first:
+        return None
+    reason = min(first, key=first.get)
+    return first[reason], reason
+
+
 class WeightedGraph:
     """Undirected weighted multigraph without self-loops."""
 
     __slots__ = ("n", "_u", "_v", "_w")
 
     def __init__(self, n, edges):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = int(n)
-        u = np.asarray([e[0] for e in edges], dtype=np.int64)
-        v = np.asarray([e[1] for e in edges], dtype=np.int64)
-        w = np.asarray([e[2] for e in edges], dtype=np.float64)
-        if u.size:
-            if u.min(initial=0) < 0 or v.min(initial=0) < 0:
-                raise ValueError("negative vertex id")
-            if u.max(initial=-1) >= self.n or v.max(initial=-1) >= self.n:
-                raise ValueError("vertex id out of range")
-            if np.any(u == v):
-                raise ValueError("self-loops are not allowed")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-                raise ValueError("edge weights must be positive and finite")
-        self._u, self._v, self._w = u, v, w
+        self._assign(n, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges])
 
     @classmethod
     def from_arrays(cls, n, u, v, w):
         g = cls.__new__(cls)
-        g.n = int(n)
-        g._u = np.asarray(u, dtype=np.int64)
-        g._v = np.asarray(v, dtype=np.int64)
-        g._w = np.asarray(w, dtype=np.float64)
-        if g._u.size:
-            if g._u.min() < 0 or g._v.min() < 0 or max(g._u.max(), g._v.max()) >= g.n:
-                raise ValueError("vertex id out of range")
-            if np.any(g._u == g._v):
-                raise ValueError("self-loops are not allowed")
-            if not np.all(np.isfinite(g._w)) or np.any(g._w <= 0.0):
-                raise ValueError("edge weights must be positive and finite")
+        g._assign(n, u, v, w)
         return g
+
+    def _assign(self, n, u, v, w):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        self.n = int(n)
+        self._u = np.asarray(u, dtype=np.int64)
+        self._v = np.asarray(v, dtype=np.int64)
+        self._w = np.asarray(w, dtype=np.float64)
+        problem = _edge_problem(self.n, self._u, self._v, self._w)
+        if problem is not None:
+            raise ValueError(f"edge {problem[0]}: {problem[1]}")
 
     @property
     def m(self):
@@ -274,10 +282,7 @@ def min_subset_density(graph, k, mode="exhaustive", trials=10000, seed=0):
         if n <= _DENSITY_BITMASK_BITS:
             table = inside_weight_table(graph)
             masks = np.arange(1 << n, dtype=np.int64)
-            pop = np.zeros(1 << n, dtype=np.int8)
-            for b in range(n):
-                pop += ((masks >> b) & 1).astype(np.int8)
-            sel = masks[pop == k]
+            sel = masks[np.bitwise_count(masks) == k]
             vals = table[sel]
             i = int(np.argmin(vals))
             best_mask = int(sel[i])
@@ -315,53 +320,135 @@ def _format_weight(w):
     return repr(w)
 
 
+class _RecordFormat(NamedTuple):
+    """A text format: magic line, header of nonnegative integers, rows.
+
+    A table's header ends with its row count and columns is its row dtype.
+    With columns None, header field k + 1 is the length of integer row k.
+    build(header, fields) makes the object; check(header, fields) may name
+    a bad row as (row, reason); float_text writes float fields.
+    """
+
+    magic: str
+    header: tuple
+    columns: np.dtype | None
+    error: type
+    build: Callable
+    check: Callable | None = None
+    float_text: Callable = repr
+
+
+def _read_records(text, fmt):
+    """Parse text in format fmt and return fmt.build(header, fields).
+
+    Line 1 is the magic line and line 2 the header.  Blank lines after them
+    are skipped and the row count must match exactly.  Numbers are read by
+    np.loadtxt.  Errors are fmt.error; those about a line name it.
+    """
+
+    def parse(chunk, dtype):
+        data = io.BytesIO(chunk.encode())
+        return np.loadtxt(data, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
+
+    lines = text.split("\n", 2)
+    if lines[0].strip() != fmt.magic:
+        raise fmt.error(f"line 1: expected header {fmt.magic!r}")
+    head = lines[1] if len(lines) > 1 else ""
+    try:
+        header = parse(head, np.int64).tolist() if head.split() else []
+    except ValueError:
+        header = []
+    if len(header) != len(fmt.header) or min(header) < 0:
+        raise fmt.error(f"line 2: expected {' '.join(fmt.header)!r}, nonnegative integers")
+    body = lines[2] if len(lines) > 2 else ""
+
+    def numbered():
+        """(line number, line) of each nonblank line after the header."""
+        return [(i, ln) for i, ln in enumerate(body.split("\n"), start=3) if ln.strip()]
+
+    def fail(row, reason):
+        """Raise for the given row; a row past the last names the line after the text."""
+        found, last = numbered(), body.split("\n")
+        number = found[row][0] if row < len(found) else 2 + len(last) + (last[-1] != "")
+        raise fmt.error(f"line {number}: {reason}")
+
+    if fmt.columns is None:
+        count, fields = len(header) - 1, []
+        for row, ((_, line), size) in enumerate(zip(numbered(), header[1:])):
+            try:
+                fields.append(parse(line, np.int64))
+            except ValueError:
+                fail(row, f"expected {size} integers")
+            if fields[-1].size != size:
+                fail(row, f"expected {size} integers")
+        found = len(numbered())
+    else:
+        count = header[-1]
+        try:
+            table = parse(body, fmt.columns) if body and not body.isspace() else np.empty(0, fmt.columns)
+        except ValueError:
+            # loadtxt's messages do not name the line: bisect for the
+            # first row it rejects, parsing about as much text again
+            rows = [ln for _, ln in numbered()]
+            lo, hi = 0, len(rows)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    parse("\n".join(rows[lo:mid]), fmt.columns)
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            if lo < count:
+                fail(lo, f"expected {' '.join(fmt.columns.names)!r}")
+            fail(count, f"expected {count} rows")
+        found = table.size
+        fields = [np.ascontiguousarray(table[name]) for name in fmt.columns.names]
+    if found != count:
+        fail(count, f"expected {count} rows")
+    problem = fmt.check and fmt.check(header, fields)
+    if problem:
+        fail(*problem)
+    try:
+        return fmt.build(header, fields)
+    except ValueError as exc:
+        raise fmt.error(str(exc)) from None
+
+
+def _write_records(fmt, header, fields):
+    """The text of format fmt; fields are a table's columns or the rows.
+
+    Each distinct value of a field is formatted once.
+    """
+    texts = []
+    for values in map(np.asarray, fields):
+        to_text = str if values.dtype.kind == "i" else fmt.float_text
+        # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
+        keys, index = np.unique(values.view(np.uint64), return_inverse=True)
+        names = [to_text(x) for x in keys.view(values.dtype).tolist()]
+        texts.append(np.array(names, dtype=object)[index])
+    rows = zip(*texts) if fmt.columns is not None else texts
+    return "\n".join([fmt.magic, " ".join(map(str, header)), *map(" ".join, rows)]) + "\n"
+
+
+_GRAPH_FORMAT = _RecordFormat(
+    GRAPH_MAGIC,
+    ("n", "m"),
+    np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+    GraphFormatError,
+    build=lambda header, fields: WeightedGraph.from_arrays(header[0], *fields),
+    check=lambda header, fields: _edge_problem(header[0], *fields),
+    float_text=_format_weight,
+)
+
+
 def write_graph(graph):
     """Serialize to the documented text format."""
-    lines = [GRAPH_MAGIC, f"{graph.n} {graph.m}"]
-    for u, v, w in graph.edges:
-        lines.append(f"{u} {v} {_format_weight(w)}")
-    return "\n".join(lines) + "\n"
+    return _write_records(_GRAPH_FORMAT, (graph.n, graph.m), graph.edge_arrays())
 
 
 def read_graph(text):
-    """Parse the documented text format; errors carry 1-based line numbers."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != GRAPH_MAGIC:
-        raise GraphFormatError(f"line 1: expected header {GRAPH_MAGIC!r}")
-    if len(lines) < 2:
-        raise GraphFormatError("line 2: missing 'n m' line")
-    parts = lines[1].split()
-    if len(parts) != 2:
-        raise GraphFormatError("line 2: expected 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError("line 2: n and m must be integers") from None
-    if n < 0 or m < 0:
-        raise GraphFormatError("line 2: n and m must be nonnegative")
-    body = [ln for ln in lines[2:] if ln.strip() != ""]
-    if len(body) != m:
-        raise GraphFormatError(
-            f"line {len(lines)}: expected {m} edge lines, found {len(body)}"
-        )
-    edges = []
-    for i, ln in enumerate(body, start=3):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {i}: expected 'u v w'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"line {i}: malformed edge line") from None
-        if not 0 <= u < n or not 0 <= v < n:
-            raise GraphFormatError(f"line {i}: vertex id out of range")
-        if u == v:
-            raise GraphFormatError(f"line {i}: self-loop")
-        if not math.isfinite(w) or w <= 0.0:
-            raise GraphFormatError(f"line {i}: weight must be positive and finite")
-        edges.append((u, v, w))
-    return WeightedGraph(n, edges)
+    """Parse the documented text format; errors name the 1-based line."""
+    return _read_records(text, _GRAPH_FORMAT)
 
 
 def load_graph(path):

@@ -24,10 +24,9 @@ from importlib import resources
 import numpy as np
 
 from .gaussian import copula_diag_grid, copula_diag_integral
+from .graph import _RecordFormat, _read_records, _write_records
 
 CONFIG_MAGIC = "msvc-hardness 1"
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 class ConfigFormatError(ValueError):
@@ -67,7 +66,7 @@ class CoverProfile:
 
     def uncovered_area(self):
         """integral of (1 - profile) over [0, 1], trapezoid rule."""
-        return float(_trapezoid(1.0 - self.grid, dx=1.0 / (self.grid.size - 1)))
+        return float(np.trapezoid(1.0 - self.grid, dx=1.0 / (self.grid.size - 1)))
 
 
 def _check_rho(rho):
@@ -78,20 +77,15 @@ def _check_rho(rho):
 def completeness_limit(rho, gamma=0.0):
     """Fixed point of t <- 1/4 + ((1+rho)/4) t + ((1-rho)/4) gamma.
 
-    Iterated from the seed (3+rho)/8 until the change drops below 1e-12;
-    at gamma = 0 this is 1/(3-rho), the limiting average cover time of the
-    nested completeness ordering.
+    The map is linear with slope (1+rho)/4 < 1, so the fixed point is the
+    closed form (1 + (1-rho) gamma) / (3-rho); at gamma = 0 this is
+    1/(3-rho), the limiting average cover time of the nested completeness
+    ordering.
     """
     _check_rho(rho)
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    x = (3.0 + rho) / 8.0
-    for _ in range(10000):
-        nxt = 0.25 + (1.0 + rho) / 4.0 * x + (1.0 - rho) / 4.0 * gamma
-        if abs(nxt - x) < 1e-12:
-            return nxt
-        x = nxt
-    return x
+    return (1.0 + (1.0 - rho) * gamma) / (3.0 - rho)
 
 
 def single_ratio(rho):
@@ -183,38 +177,22 @@ class HardnessConfig:
         return np.array([r for _, r in self.pairs])
 
 
+_CONFIG_FORMAT = _RecordFormat(
+    CONFIG_MAGIC,
+    ("k",),
+    np.dtype([("alpha", np.float64), ("rho", np.float64)]),
+    ConfigFormatError,
+    build=lambda header, fields: HardnessConfig(tuple(zip(*(f.tolist() for f in fields)))),
+    float_text="{:.10g}".format,
+)
+
+
 def parse_hardness_config(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CONFIG_MAGIC:
-        raise ConfigFormatError(f"line 1: expected header {CONFIG_MAGIC!r}")
-    if len(lines) < 2:
-        raise ConfigFormatError("line 2: missing pair count")
-    try:
-        k = int(lines[1])
-    except ValueError:
-        raise ConfigFormatError(f"line 2: malformed pair count {lines[1]!r}") from None
-    pairs = []
-    for i in range(k):
-        ln = 3 + i
-        if 2 + i >= len(lines):
-            raise ConfigFormatError(f"line {ln}: missing pair {i + 1} of {k}")
-        parts = lines[2 + i].split()
-        if len(parts) != 2:
-            raise ConfigFormatError(f"line {ln}: expected 'alpha rho'")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ConfigFormatError(f"line {ln}: malformed number") from None
-    try:
-        return HardnessConfig(tuple(pairs))
-    except ValueError as exc:
-        raise ConfigFormatError(str(exc)) from None
+    return _read_records(text, _CONFIG_FORMAT)
 
 
 def format_hardness_config(cfg):
-    lines = [CONFIG_MAGIC, str(cfg.k)]
-    lines += [f"{a:.10g} {r:.10g}" for a, r in cfg.pairs]
-    return "\n".join(lines) + "\n"
+    return _write_records(_CONFIG_FORMAT, (cfg.k,), (cfg.alphas, cfg.rhos))
 
 
 def load_hardness_config(path):
@@ -277,7 +255,7 @@ def _greedy_schedule(alphas, profiles, per_graph):
         coverage[step + 1] = covered
 
     total_alpha = float(alphas.sum())
-    value = float(_trapezoid(1.0 - coverage / total_alpha, dx=1.0 / total_steps))
+    value = float(np.trapezoid(1.0 - coverage / total_alpha, dx=1.0 / total_steps))
     return value, trace
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph
+from .graph import Ordering, WeightedGraph, _RecordFormat, _read_records, _write_records
 
 UG_MAGIC = "msvc-ug 1"
 LABELS_MAGIC = "msvc-labels 1"
@@ -139,16 +139,6 @@ def _pair_weights(rho, L):
     return np.array([same ** (L - d) * diff ** d for d in range(L + 1)])
 
 
-def _popcount_table(L):
-    codes = np.arange(1 << L, dtype=np.int64)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(codes).astype(np.int64)
-    pop = np.zeros(1 << L, dtype=np.int64)
-    for b in range(L):
-        pop += (codes >> b) & 1
-    return pop
-
-
 def _rotate(codes, shift, L):
     """Cyclic shift moving bit i to position i + shift (mod L)."""
     shift %= L
@@ -175,7 +165,6 @@ def build_long_code_graph(instance, rho):
     size = 1 << L
     n = instance.v_count * size
     pw = _pair_weights(rho, L)
-    pop = _popcount_table(L)
     codes = np.arange(size, dtype=np.int64)
 
     us, vs, ws = [], [], []
@@ -185,7 +174,7 @@ def build_long_code_graph(instance, rho):
             base1 = v1 * size + codes
             for v2, c2 in pairs:
                 ry = _rotate(codes, c2, L)
-                weight = pw[pop[rx[:, None] ^ ry[None, :]]]
+                weight = pw[np.bitwise_count(rx[:, None] ^ ry[None, :])]
                 ids1 = np.broadcast_to(base1[:, None], (size, size))
                 ids2 = np.broadcast_to((v2 * size + codes)[None, :], (size, size))
                 keep = (ids1 != ids2).ravel()
@@ -205,7 +194,6 @@ def _loop_mass(instance, rho):
     L = instance.alphabet
     size = 1 << L
     pw = _pair_weights(rho, L)
-    pop = _popcount_table(L)
     codes = np.arange(size, dtype=np.int64)
     out = np.zeros(instance.v_count * size)
     for pairs in _edges_by_u(instance):
@@ -213,7 +201,7 @@ def _loop_mass(instance, rho):
             for v2, c2 in pairs:
                 if v1 != v2:
                     continue
-                mass = pw[pop[_rotate(codes, c1, L) ^ _rotate(codes, c2, L)]]
+                mass = pw[np.bitwise_count(_rotate(codes, c1, L) ^ _rotate(codes, c2, L))]
                 np.add.at(out, v1 * size + codes, mass)
     return out
 
@@ -340,41 +328,32 @@ def random_affine_instance(alphabet, size, degree, seed, satisfiable=True):
     return instance, UGLabeling(alphabet, zu, zv)
 
 
+_UG_FORMAT = _RecordFormat(
+    UG_MAGIC,
+    ("L", "|U|", "|V|", "m"),
+    np.dtype([("u", np.int64), ("v", np.int64), ("c", np.int64)]),
+    UGFormatError,
+    build=lambda header, fields: AffineUGInstance(
+        *header[:3], tuple(zip(*(f.tolist() for f in fields)))
+    ),
+)
+
+_LABELS_FORMAT = _RecordFormat(
+    LABELS_MAGIC,
+    ("L", "|U|", "|V|"),
+    None,
+    UGFormatError,
+    build=lambda header, fields: UGLabeling(header[0], *fields),
+)
+
+
 def parse_ug(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != UG_MAGIC:
-        raise UGFormatError(f"line 1: expected header {UG_MAGIC!r}")
-    if len(lines) < 2:
-        raise UGFormatError("line 2: missing 'L |U| |V| m'")
-    parts = lines[1].split()
-    if len(parts) != 4:
-        raise UGFormatError("line 2: expected 'L |U| |V| m'")
-    try:
-        L, uc, vc, m = (int(p) for p in parts)
-    except ValueError:
-        raise UGFormatError("line 2: malformed integer") from None
-    edges = []
-    for i in range(m):
-        ln = 3 + i
-        if 2 + i >= len(lines):
-            raise UGFormatError(f"line {ln}: missing edge {i + 1} of {m}")
-        ep = lines[2 + i].split()
-        if len(ep) != 3:
-            raise UGFormatError(f"line {ln}: expected 'u v c'")
-        try:
-            edges.append((int(ep[0]), int(ep[1]), int(ep[2])))
-        except ValueError:
-            raise UGFormatError(f"line {ln}: malformed integer") from None
-    try:
-        return AffineUGInstance(L, uc, vc, tuple(edges))
-    except ValueError as exc:
-        raise UGFormatError(str(exc)) from None
+    return _read_records(text, _UG_FORMAT)
 
 
 def format_ug(instance):
-    lines = [UG_MAGIC, f"{instance.alphabet} {instance.u_count} {instance.v_count} {instance.m}"]
-    lines += [f"{u} {v} {c}" for u, v, c in instance.edges]
-    return "\n".join(lines) + "\n"
+    header = (instance.alphabet, instance.u_count, instance.v_count, instance.m)
+    return _write_records(_UG_FORMAT, header, np.array(instance.edges, dtype=np.int64).reshape(-1, 3).T)
 
 
 def load_ug(path):
@@ -388,39 +367,14 @@ def save_ug(instance, path):
 
 
 def parse_labels(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != LABELS_MAGIC:
-        raise UGFormatError(f"line 1: expected header {LABELS_MAGIC!r}")
-    if len(lines) < 4:
-        raise UGFormatError("labels file needs 4 lines: header, 'L |U| |V|', u labels, v labels")
-    parts = lines[1].split()
-    if len(parts) != 3:
-        raise UGFormatError("line 2: expected 'L |U| |V|'")
-    try:
-        L, uc, vc = (int(p) for p in parts)
-        u_labels = tuple(int(x) for x in lines[2].split())
-        v_labels = tuple(int(x) for x in lines[3].split())
-    except ValueError:
-        raise UGFormatError("malformed integer in labels file") from None
-    if len(u_labels) != uc:
-        raise UGFormatError(f"line 3: expected {uc} labels, got {len(u_labels)}")
-    if len(v_labels) != vc:
-        raise UGFormatError(f"line 4: expected {vc} labels, got {len(v_labels)}")
-    try:
-        return UGLabeling(L, u_labels, v_labels)
-    except ValueError as exc:
-        raise UGFormatError(str(exc)) from None
+    return _read_records(text, _LABELS_FORMAT)
 
 
 def format_labels(labeling, u_count=None, v_count=None):
     u_count = len(labeling.u_labels) if u_count is None else u_count
     v_count = len(labeling.v_labels) if v_count is None else v_count
-    return "\n".join([
-        LABELS_MAGIC,
-        f"{labeling.alphabet} {u_count} {v_count}",
-        " ".join(str(x) for x in labeling.u_labels),
-        " ".join(str(x) for x in labeling.v_labels),
-    ]) + "\n"
+    header = (labeling.alphabet, u_count, v_count)
+    return _write_records(_LABELS_FORMAT, header, (labeling.u_labels, labeling.v_labels))
 
 
 def load_labels(path):

@@ -190,13 +190,7 @@ def staged_value_formula(params):
 def _vertex_cover_number(graph):
     table = inside_weight_table(graph)
     covering = np.nonzero(table == 0.0)[0]
-    if hasattr(np, "bitwise_count"):
-        sizes = np.bitwise_count(covering.astype(np.int64))
-    else:
-        sizes = np.zeros(covering.size, dtype=np.int64)
-        for b in range(graph.n):
-            sizes += (covering >> b) & 1
-    return int(graph.n - sizes.max())
+    return int(graph.n - np.bitwise_count(covering).max())
 
 
 @dataclass(frozen=True)

@@ -43,16 +43,6 @@ class SolveResult:
             raise ValueError("svc value must be non-negative")
 
 
-def _popcounts(n):
-    masks = np.arange(1 << n, dtype=np.int64)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks).astype(np.int8)
-    pop = np.zeros(1 << n, dtype=np.int8)
-    for b in range(n):
-        pop += ((masks >> b) & 1).astype(np.int8)
-    return pop
-
-
 def msvc_exact_dp(graph):
     """Exact MSVC over all 2^n subsets; n <= 24."""
     n = graph.n
@@ -70,7 +60,7 @@ def msvc_exact_dp(graph):
     f[0] = 0.0
     parent = np.zeros(size, dtype=np.int8)
 
-    pop = _popcounts(n)
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
     order = np.argsort(pop, kind="stable")
     counts = np.bincount(pop, minlength=n + 1)
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -164,7 +154,7 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
         total = graph.total_weight()
         if n <= DP_MAX_VERTICES:
             table = inside_weight_table(graph)
-            pop = _popcounts(n)
+            pop = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
             masks = np.nonzero(pop == k)[0]
             # covered(S) = total - W(S^c, S^c)
             vals = table[masks ^ ((1 << n) - 1)]

@@ -232,12 +232,7 @@ def _exhaustive_subset_check(adj, weight, bound):
         [np.zeros((1 << m, 1), np.int64), np.cumsum(ordered, axis=1, dtype=np.int64)],
         axis=1,
     )
-    if hasattr(np, "bitwise_count"):
-        sizes = np.bitwise_count(np.arange(1 << m, dtype=np.int64))
-    else:
-        sizes = np.zeros(1 << m, dtype=np.int64)
-        for b in range(m):
-            sizes += (np.arange(1 << m) >> b) & 1
+    sizes = np.bitwise_count(np.arange(1 << m, dtype=np.int64))
     expected = weight * sizes[:, None] * np.arange(m + 1)[None, :]
     dev = max(float(np.max(top - expected)), float(np.max(expected - bot)))
     return SubsetCheck("exact", (1 << m) * (1 << m), dev, bound)

@@ -117,6 +117,15 @@ def test_constructor_validation():
         WeightedGraph(3, [(0, 1, math.inf)])
     with pytest.raises(ValueError):
         WeightedGraph(-1, [])
+    for n, edges in (
+        (3, [(0, 0, 1.0)]),
+        (3, [(0, 3, 1.0)]),
+        (3, [(-1, 2, 1.0)]),
+        (3, [(0, 1, math.nan)]),
+        (-1, []),
+    ):
+        with pytest.raises(ValueError):
+            WeightedGraph.from_arrays(n, *np.asarray(edges).reshape(-1, 3).T)
 
 
 def test_degree_accessors():
@@ -189,6 +198,8 @@ def test_graph_io_round_trip(tmp_path):
     text = write_graph(g)
     assert text.startswith(GRAPH_MAGIC + "\n5 3\n")
     assert read_graph(text) == g
+    spaced = text.replace("\n1 2", "\n\n   \n1 2") + "\n"
+    assert read_graph(spaced) == g
     path = tmp_path / "g.graph"
     save_graph(g, path)
     assert load_graph(path) == g
@@ -216,8 +227,14 @@ def test_graph_format_errors_carry_line_numbers():
         read_graph(GRAPH_MAGIC + "\n2 1\n0 0 1.0\n")
     with pytest.raises(GraphFormatError, match="line 3"):
         read_graph(GRAPH_MAGIC + "\n2 1\n0 1 -1.0\n")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="line 4"):
         read_graph(GRAPH_MAGIC + "\n2 2\n0 1 1.0\n")
+    with pytest.raises(GraphFormatError, match="line 5"):
+        read_graph(GRAPH_MAGIC + "\n3 2\n\n0 1 1.0\n0 0 1.0\n")
+    with pytest.raises(GraphFormatError, match="line 4"):
+        read_graph(GRAPH_MAGIC + "\n2 1\n0 1 1.0\n0 1 1.0\n\n")
+    with pytest.raises(GraphFormatError, match="line 6"):
+        read_graph(GRAPH_MAGIC + "\n3 3\n0 1 1\n\n\n0 x 1\n1 2 1\n")
 
 
 def test_factories_shapes():

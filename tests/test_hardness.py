@@ -140,6 +140,8 @@ def test_config_io_round_trip(tmp_path):
     path = tmp_path / "c.cfg"
     save_hardness_config(cfg, path)
     assert load_hardness_config(path).pairs == cfg.pairs
+    signed = format_hardness_config(HardnessConfig(((1.0, -0.0), (1.0, 0.0))))
+    assert signed.endswith("\n1 -0\n1 0\n")
 
 
 def test_config_format_errors_carry_line_numbers():
@@ -153,6 +155,14 @@ def test_config_format_errors_carry_line_numbers():
         parse_hardness_config(CONFIG_MAGIC + "\n1\n1 -0.5 9\n")
     with pytest.raises(ConfigFormatError, match="line 3"):
         parse_hardness_config(CONFIG_MAGIC + "\n1\nx y\n")
+    with pytest.raises(ConfigFormatError, match="line 4"):
+        parse_hardness_config(CONFIG_MAGIC + "\n1\n1 -0.5\n1 -0.5\n")
+    with pytest.raises(ConfigFormatError, match="line 5"):
+        parse_hardness_config(CONFIG_MAGIC + "\n2\n1 -0.5\n\n1 x\n")
+    with pytest.raises(ConfigFormatError, match="line 2"):
+        parse_hardness_config(CONFIG_MAGIC + "\n-1\n")
+    two = parse_hardness_config(CONFIG_MAGIC + "\n2\n\n1 -0.5\n\n2 -0.25\n")
+    assert two.pairs == ((1.0, -0.5), (2.0, -0.25))
 
 
 def test_figure1_config_shape_and_endpoints():

@@ -195,6 +195,15 @@ def test_ug_format_errors_carry_line_numbers():
         parse_ug(UG_MAGIC + "\n2 1 1 1\n0 0\n")
     with pytest.raises(UGFormatError, match="line 3"):
         parse_ug(UG_MAGIC + "\n2 1 1 1\nx y z\n")
+    with pytest.raises(UGFormatError, match="line 4"):
+        parse_ug(UG_MAGIC + "\n2 1 1 1\n0 0 1\n0 0 1\ngarbage\n")
+    with pytest.raises(UGFormatError, match="line 2"):
+        parse_ug(UG_MAGIC + "\n2 1 1 -1\n")
+    with pytest.raises(UGFormatError, match="line 5"):
+        parse_ug(UG_MAGIC + "\n2 1 1 2\n0 0 1\n\n0 0\n")
+    with pytest.raises(UGFormatError, match="line 5"):
+        parse_ug(UG_MAGIC + "\n2 1 1 1\n0 0 1\n\n0 0 1\n")
+    assert parse_ug(UG_MAGIC + "\n2 1 1 1\n\n0 0 1\n\n") == parse_ug(UG_MAGIC + "\n2 1 1 1\n0 0 1\n")
 
 
 def test_labels_io_round_trip_and_errors():
@@ -207,3 +216,8 @@ def test_labels_io_round_trip_and_errors():
         parse_labels("nope\n")
     with pytest.raises(UGFormatError):
         parse_labels(LABELS_MAGIC + "\n3 2 1\n0 5\n1\n")
+    with pytest.raises(UGFormatError, match="line 5"):
+        parse_labels(LABELS_MAGIC + "\n3 2 1\n0 1\n\n1 2\n")
+    with pytest.raises(UGFormatError, match="line 6"):
+        parse_labels(LABELS_MAGIC + "\n3 2 1\n0 1\n2\n\n1\n")
+    assert parse_labels(LABELS_MAGIC + "\n3 2 3\n\n0 2\n\n1 0 2\n") == lab
