@@ -36,6 +36,7 @@ SQRT_TAU = math.sqrt(2.0 * math.pi)
 Z_CUT = 8.0
 
 _GL_CACHE = {}
+_BLOCK = 512  # quadrature columns per slab in copula_diag_grid
 
 
 def _gauss_legendre(n):
@@ -232,10 +233,7 @@ def copula_diag_grid(rho, r, n_nodes=160):
     b0 = np.minimum(b, Z_CUT)
     z1 = (b + Z_CUT * s) / rho
     z2 = (b - Z_CUT * s) / rho
-    if rho < 0.0:
-        z_lo, z_hi = z1, z2
-    else:
-        z_lo, z_hi = z2, z1
+    z_lo, z_hi = (z1, z2) if rho < 0.0 else (z2, z1)
     qa = np.clip(z_lo, a0, b0)
     qb = np.clip(z_hi, a0, b0)
     if rho < 0.0:
@@ -246,10 +244,15 @@ def copula_diag_grid(rho, r, n_nodes=160):
     t, w = _gauss_legendre(n_nodes)
     half = 0.5 * (qb - qa)
     mid = 0.5 * (qb + qa)
-    z = mid[None, :] + half[None, :] * t[:, None]
-    vals = np.exp(-0.5 * z * z) / SQRT_TAU * ndtr((b[None, :] - rho * z) / s)
-    quad = half * (w @ vals)
-    out[inner] = ones + quad
+    # slabs of _BLOCK columns, the last up to twice as wide (a last slab of
+    # 1-3 columns moved the product's last bits): each column gets the
+    # operations and the bits of one n_nodes x N slab, without its size
+    stops = [*range(_BLOCK, b.size - _BLOCK + 1, _BLOCK), b.size]
+    for lo, hi in zip([0, *stops], stops):
+        z = mid[lo:hi] + half[lo:hi] * t[:, None]
+        vals = np.exp(-0.5 * z * z) / SQRT_TAU * ndtr((b[lo:hi] - rho * z) / s)
+        ones[lo:hi] += half[lo:hi] * (w @ vals)
+    out[inner] = ones
     return out
 
 

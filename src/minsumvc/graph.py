@@ -54,18 +54,22 @@ class GraphFormatError(ValueError):
     """A graph/instance file does not match its documented text format."""
 
 
-def _edge_problem(n, u, v, w):
-    """(row, reason) for the first edge that breaks the graph invariants, or None."""
-    bad = {
-        "vertex id out of range": (u < 0) | (u >= n) | (v < 0) | (v >= n),
-        "self-loop": u == v,
-        "weight must be positive and finite": ~(np.isfinite(w) & (w > 0.0)),
-    }
+def _first_problem(bad):
+    """(row, reason) for the first row flagged in a {reason: row mask} dict, or None."""
     first = {reason: int(np.argmax(mask)) for reason, mask in bad.items() if mask.any()}
     if not first:
         return None
     reason = min(first, key=first.get)
     return first[reason], reason
+
+
+def _edge_problem(n, u, v, w):
+    """(row, reason) for the first edge that breaks the graph invariants, or None."""
+    return _first_problem({
+        "vertex id out of range": (u < 0) | (u >= n) | (v < 0) | (v >= n),
+        "self-loop": u == v,
+        "weight must be positive and finite": ~(np.isfinite(w) & (w > 0.0)),
+    })
 
 
 class WeightedGraph:

@@ -232,49 +232,46 @@ def _greedy_schedule(alphas, profiles, per_graph):
     fraction; each instance owns per_graph internal steps.  Returns the
     average cover time (area above the aggregate weighted coverage curve)
     and the per-step trace of chosen instance indices.
+
+    Greedy advances the instance with the largest next gain, ties to the
+    lowest index.  A gain waits behind the earlier gains of its row, so the
+    greedy order is a stable descending sort of each row's prefix minima of
+    gains (ties by row, then step), concave rows or not; the coverage sums
+    are added in that order, as the step loop adds them.
     """
-    k = len(profiles)
-    total_steps = k * per_graph
     node_times = np.arange(per_graph + 1) / per_graph
     fv = np.stack([p.evaluate(node_times) for p in profiles])
     gains = alphas[:, None] * np.diff(fv, axis=1)
 
-    nxt = np.zeros(k, dtype=np.int64)
-    cur = gains[:, 0].copy()
-    trace = np.empty(total_steps, dtype=np.int32)
-    coverage = np.empty(total_steps + 1)
-    covered = float(alphas @ fv[:, 0])
-    coverage[0] = covered
-    for step in range(total_steps):
-        i = int(np.argmax(cur))
-        trace[step] = i
-        covered += cur[i]
-        j = int(nxt[i]) + 1
-        nxt[i] = j
-        cur[i] = gains[i, j] if j < per_graph else -np.inf
-        coverage[step + 1] = covered
+    # the ravel order is (row, step), so a stable sort breaks ties by both
+    order = np.argsort(-np.minimum.accumulate(gains, axis=1).ravel(), kind="stable")
+    trace = (order // per_graph).astype(np.int32)
+    coverage = np.add.accumulate(np.concatenate(([alphas @ fv[:, 0]], gains.ravel()[order])))
 
     total_alpha = float(alphas.sum())
-    value = float(np.trapezoid(1.0 - coverage / total_alpha, dx=1.0 / total_steps))
+    value = float(np.trapezoid(1.0 - coverage / total_alpha, dx=1.0 / trace.size))
     return value, trace
 
 
-def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12):
-    """Greedy-scheduled soundness/completeness ratio of a composite config."""
+def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12, *, cache=None):
+    """Greedy-scheduled soundness/completeness ratio of a composite config.
+
+    cache, if given, is a dict that keeps the profile pair of each
+    (rho, gamma, eps, g) for later calls with the same dict.
+    """
     if steps < 1000:
         raise ValueError("steps must be at least 1000")
-    k = cfg.k
-    per_graph = max(1, round(steps / k))
+    per_graph = max(1, round(steps / cfg.k))
     alphas = cfg.alphas
 
-    c_cache, s_cache = {}, {}
-    c_profiles, s_profiles = [], []
+    cache = {} if cache is None else cache
+    built = []
     for _, rho in cfg.pairs:
-        if rho not in c_cache:
-            c_cache[rho] = completeness_profile(rho, gamma, g=g)
-            s_cache[rho] = soundness_profile(rho, eps, g=g)
-        c_profiles.append(c_cache[rho])
-        s_profiles.append(s_cache[rho])
+        key = (rho, gamma, eps, g)
+        if key not in cache:
+            cache[key] = (completeness_profile(rho, gamma, g=g), soundness_profile(rho, eps, g=g))
+        built.append(cache[key])
+    c_profiles, s_profiles = zip(*built)
 
     c_value, c_trace = _greedy_schedule(alphas, c_profiles, per_graph)
     s_value, s_trace = _greedy_schedule(alphas, s_profiles, per_graph)
@@ -305,16 +302,19 @@ def optimize_config(seed_cfg, budget, steps=20000, g=12):
 
     budget caps composite_ratio evaluations; only improving moves are
     accepted, so the result never scores below seed_cfg.  Deterministic.
+    The evaluations share one profile cache, so each rho's profiles are
+    built once per call.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
     state = {"evals": 0}
+    profiles = {}
 
     def evaluate(pairs):
         if state["evals"] >= budget:
             return None
         state["evals"] += 1
-        return composite_ratio(HardnessConfig(tuple(pairs)), steps, g=g).ratio
+        return composite_ratio(HardnessConfig(tuple(pairs)), steps, g=g, cache=profiles).ratio
 
     def result(pairs, best):
         cfg = HardnessConfig(tuple(tuple(p) for p in pairs))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph, _RecordFormat, _read_records, _write_records
+from .graph import Ordering, WeightedGraph, _first_problem, _RecordFormat, _read_records, _write_records
 
 UG_MAGIC = "msvc-ug 1"
 LABELS_MAGIC = "msvc-labels 1"
@@ -336,6 +336,11 @@ _UG_FORMAT = _RecordFormat(
     build=lambda header, fields: AffineUGInstance(
         *header[:3], tuple(zip(*(f.tolist() for f in fields)))
     ),
+    check=lambda header, fields: _first_problem({
+        "u id out of range": (fields[0] < 0) | (fields[0] >= header[1]),
+        "v id out of range": (fields[1] < 0) | (fields[1] >= header[2]),
+        f"shift outside Z_{header[0]}": (fields[2] < 0) | (fields[2] >= header[0]),
+    }),
 )
 
 _LABELS_FORMAT = _RecordFormat(
@@ -344,6 +349,9 @@ _LABELS_FORMAT = _RecordFormat(
     None,
     UGFormatError,
     build=lambda header, fields: UGLabeling(header[0], *fields),
+    check=lambda header, fields: _first_problem({
+        f"labels must lie in Z_{header[0]}": np.array([np.any((f < 0) | (f >= header[0])) for f in fields]),
+    }),
 )
 
 

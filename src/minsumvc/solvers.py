@@ -54,7 +54,6 @@ def msvc_exact_dp(graph):
     size = 1 << n
     full = size - 1
     table = inside_weight_table(graph)
-    comp = table[np.arange(size) ^ full]
 
     f = np.full(size, np.inf)
     f[0] = 0.0
@@ -70,16 +69,12 @@ def msvc_exact_dp(graph):
         best = np.full(masks.size, np.inf)
         best_v = np.zeros(masks.size, dtype=np.int8)
         for v in range(n):
-            bit = 1 << v
-            has = (masks & bit) != 0
-            cand = f[masks[has] ^ bit]
-            slot = np.nonzero(has)[0]
-            better = cand < best[slot]
-            if better.any():
-                upd = slot[better]
-                best[upd] = cand[better]
-                best_v[upd] = v
-        f[masks] = comp[masks] + best
+            # a mask without bit v reads a layer k + 1 superset, still inf
+            cand = f[masks ^ (1 << v)]
+            better = cand < best
+            np.copyto(best, cand, where=better)
+            np.copyto(best_v, v, where=better)
+        f[masks] = table[masks ^ full] + best
         parent[masks] = best_v
 
     value = float(f[full] + table[full])
@@ -139,6 +134,11 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
     mode="exact" enumerates subsets (budget C(n,k) <= 10^7 enforced) and
     returns a true maximizer; mode="local-search" runs steepest-swap hill
     climbing from seeded random starts.  Returns a sorted vertex tuple.
+
+    Swapping x in S for y outside it gains (row[y] - into[y]) - (row[x] -
+    into[x]) + a[x, y], with a the pair weights, row its row sums and into[v]
+    the weight from v into S.  Each climbing step scores all k(n - k) swaps
+    and takes the first best in (x, y) order while it gains over 1e-12.
     """
     n = graph.n
     if not 0 <= k <= n:
@@ -151,7 +151,6 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
     if mode == "exact":
         if math.comb(n, k) > KVC_BUDGET:
             raise ValueError(f"C({n},{k}) exceeds the exact budget {KVC_BUDGET}")
-        total = graph.total_weight()
         if n <= DP_MAX_VERTICES:
             table = inside_weight_table(graph)
             pop = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
@@ -176,39 +175,24 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
         a = graph.weight_matrix()
         row = a.sum(axis=1)
 
-        def cov_of(mask_arr):
-            idx = np.nonzero(mask_arr)[0]
-            return float(row[idx].sum()) - float(a[np.ix_(idx, idx)].sum()) / 2.0
-
         best_val, best_set = -1.0, None
         for _ in range(max(1, restarts)):
             inside = np.zeros(n, dtype=bool)
             inside[rng.choice(n, size=k, replace=False)] = True
-            val = cov_of(inside)
-            improved = True
-            while improved:
-                improved = False
-                ins = np.nonzero(inside)[0]
-                outs = np.nonzero(~inside)[0]
-                step_best, step_pair = val + 1e-12, None
-                for x in ins:
-                    for y in outs:
-                        inside[x] = False
-                        inside[y] = True
-                        cand = cov_of(inside)
-                        inside[x] = True
-                        inside[y] = False
-                        if cand > step_best:
-                            step_best, step_pair = cand, (x, y)
-                if step_pair is not None:
-                    x, y = step_pair
-                    inside[x] = False
-                    inside[y] = True
-                    val = step_best
-                    improved = True
+            while True:
+                ins, outs = np.nonzero(inside)[0], np.nonzero(~inside)[0]
+                to_out = row - a[:, inside].sum(axis=1)
+                gain = to_out[outs] - to_out[ins][:, None] + a[np.ix_(ins, outs)]
+                x, y = divmod(int(np.argmax(gain)), outs.size)
+                if not gain[x, y] > 1e-12:
+                    break
+                inside[ins[x]] = False
+                inside[outs[y]] = True
+            idx = np.nonzero(inside)[0]
+            val = float(row[idx].sum()) - float(a[np.ix_(idx, idx)].sum()) / 2.0
             if val > best_val:
                 best_val = val
-                best_set = tuple(int(i) for i in np.nonzero(inside)[0])
+                best_set = tuple(int(i) for i in idx)
         return best_set
 
     raise ValueError(f"unknown mode {mode!r}")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from minsumvc import (
     copula_diag,
@@ -15,6 +16,7 @@ from minsumvc import (
     phi_inv,
     phi_pdf,
 )
+from minsumvc.gaussian import SQRT_TAU, Z_CUT, _gauss_legendre, phi_inv_vec
 
 TAU = 2.0 * math.pi
 
@@ -102,6 +104,44 @@ def test_diag_grid_matches_scalar():
         grid = copula_diag_grid(rho, r)
         for i in (0, 7, 33, 50, 88, 100):
             assert grid[i] == pytest.approx(copula_diag(rho, float(r[i])), abs=1e-9)
+
+
+def _diag_grid_one_shot(rho, r, n_nodes=160):
+    """copula_diag_grid with the whole n_nodes x N quadrature in one expression."""
+    out = np.zeros_like(r)
+    tiny = ndtr(-Z_CUT)
+    inner = (r > tiny) & (r < 1.0 - 1e-16)
+    out[r >= 1.0 - 1e-16] = r[r >= 1.0 - 1e-16]
+    b = phi_inv_vec(r[inner])
+    s = math.sqrt(1.0 - rho * rho)
+    b0 = np.minimum(b, Z_CUT)
+    z1 = (b + Z_CUT * s) / rho
+    z2 = (b - Z_CUT * s) / rho
+    z_lo, z_hi = (z1, z2) if rho < 0.0 else (z2, z1)
+    qa = np.clip(z_lo, -Z_CUT, b0)
+    qb = np.clip(z_hi, -Z_CUT, b0)
+    if rho < 0.0:
+        ones = np.maximum(0.0, ndtr(b0) - ndtr(qb))
+    else:
+        ones = np.maximum(0.0, ndtr(qa) - ndtr(-Z_CUT))
+    t, w = _gauss_legendre(n_nodes)
+    half = 0.5 * (qb - qa)
+    mid = 0.5 * (qb + qa)
+    z = mid[None, :] + half[None, :] * t[:, None]
+    vals = np.exp(-0.5 * z * z) / SQRT_TAU * ndtr((b[None, :] - rho * z) / s)
+    out[inner] = ones + half * (w @ vals)
+    return out
+
+
+def test_diag_grid_blocks_match_one_shot_bits():
+    # 4095 interior points: six 512-column slabs and a last one of 1023;
+    # 513 and 1025 points would leave a last slab of one column.  Both the
+    # integral's and the soundness profile's orientation of the grid.
+    for size in (4097, 515, 1027):
+        t = np.linspace(0.0, 1.0, size)
+        for rho in (-0.999, -0.9, -0.52, -0.1):
+            for r in (t, 1.0 - t):
+                assert np.array_equal(copula_diag_grid(rho, r), _diag_grid_one_shot(rho, r))
 
 
 def test_diag_integral_closed_form():

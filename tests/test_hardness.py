@@ -24,12 +24,48 @@ from minsumvc import (
     single_ratio,
     soundness_profile,
 )
+from minsumvc.hardness import _greedy_schedule
 
 TAU = 2.0 * math.pi
 
 
 def _single_ratio_oracle(rho):
     return (3.0 - rho) * (0.25 + math.asin((1.0 + rho) / 2.0) / TAU)
+
+
+def _greedy_schedule_loop(alphas, profiles, per_graph):
+    """The step-at-a-time greedy scheduler, kept as an oracle."""
+    k = len(profiles)
+    total_steps = k * per_graph
+    node_times = np.arange(per_graph + 1) / per_graph
+    fv = np.stack([p.evaluate(node_times) for p in profiles])
+    gains = alphas[:, None] * np.diff(fv, axis=1)
+
+    nxt = np.zeros(k, dtype=np.int64)
+    cur = gains[:, 0].copy()
+    trace = np.empty(total_steps, dtype=np.int32)
+    coverage = np.empty(total_steps + 1)
+    covered = float(alphas @ fv[:, 0])
+    coverage[0] = covered
+    for step in range(total_steps):
+        i = int(np.argmax(cur))
+        trace[step] = i
+        covered += cur[i]
+        j = int(nxt[i]) + 1
+        nxt[i] = j
+        cur[i] = gains[i, j] if j < per_graph else -np.inf
+        coverage[step + 1] = covered
+
+    total_alpha = float(alphas.sum())
+    value = float(np.trapezoid(1.0 - coverage / total_alpha, dx=1.0 / total_steps))
+    return value, trace
+
+
+def _assert_same_schedule(alphas, profiles, per_graph):
+    value, trace = _greedy_schedule(alphas, profiles, per_graph)
+    ref_value, ref_trace = _greedy_schedule_loop(alphas, profiles, per_graph)
+    assert value == ref_value
+    assert trace.dtype == ref_trace.dtype and np.array_equal(trace, ref_trace)
 
 
 def test_single_ratio_matches_closed_form():
@@ -199,6 +235,36 @@ def test_composite_ratio_is_stable_under_step_doubling():
     a = composite_ratio(cfg, steps=20000).ratio
     b = composite_ratio(cfg, steps=40000).ratio
     assert abs(a - b) <= 2e-3
+
+
+def test_greedy_schedule_matches_step_loop_on_figure_profiles():
+    cfg = figure1_config()
+    made = {rho: (completeness_profile(rho), soundness_profile(rho)) for rho in set(cfg.rhos.tolist())}
+    for side in (0, 1):
+        profiles = [made[rho][side] for _, rho in cfg.pairs]
+        for steps in (20000, 100000):
+            _assert_same_schedule(cfg.alphas, profiles, round(steps / cfg.k))
+
+
+def test_greedy_schedule_matches_step_loop_on_nonconcave_profiles():
+    # coarse lattice values give zero and repeated gains; per_graph equal to
+    # the node count reads the nodes exactly, other values interpolate
+    rng = np.random.default_rng(11)
+    for trial in range(1200):
+        k = int(rng.integers(1, 7))
+        size = (1 << int(rng.integers(1, 5))) + 1
+        profiles = []
+        for _ in range(k):
+            steps = rng.integers(0, 4, size=size).astype(float)
+            steps[0] = rng.integers(0, 3)
+            grid = np.cumsum(steps) / max(steps.sum(), 1.0)
+            profiles.append(CoverProfile(grid, "soundness-s"))
+        if trial % 3 == 0:
+            alphas = np.full(k, 1.5)
+        else:
+            alphas = rng.choice([0.5, 1.0, 2.0, 3.0], size=k)
+        per_graph = size - 1 if trial % 2 else int(rng.integers(1, 3 * size))
+        _assert_same_schedule(alphas, profiles, per_graph)
 
 
 def test_composite_beats_best_single_on_figure_config():

@@ -203,6 +203,14 @@ def test_ug_format_errors_carry_line_numbers():
         parse_ug(UG_MAGIC + "\n2 1 1 2\n0 0 1\n\n0 0\n")
     with pytest.raises(UGFormatError, match="line 5"):
         parse_ug(UG_MAGIC + "\n2 1 1 1\n0 0 1\n\n0 0 1\n")
+    with pytest.raises(UGFormatError, match="line 3: shift outside Z_2"):
+        parse_ug(UG_MAGIC + "\n2 1 1 1\n0 0 5\n")
+    with pytest.raises(UGFormatError, match="line 4: shift outside Z_2"):
+        parse_ug(UG_MAGIC + "\n2 1 1 2\n0 0 1\n0 0 2\n")
+    with pytest.raises(UGFormatError, match="line 5: v id out of range"):
+        parse_ug(UG_MAGIC + "\n2 1 1 2\n0 0 1\n\n0 1 0\n")
+    with pytest.raises(UGFormatError, match="line 4: u id out of range"):
+        parse_ug(UG_MAGIC + "\n2 2 1 2\n0 0 1\n-1 0 0\n")
     assert parse_ug(UG_MAGIC + "\n2 1 1 1\n\n0 0 1\n\n") == parse_ug(UG_MAGIC + "\n2 1 1 1\n0 0 1\n")
 
 
@@ -214,8 +222,12 @@ def test_labels_io_round_trip_and_errors():
     assert again == lab
     with pytest.raises(UGFormatError, match="line 1"):
         parse_labels("nope\n")
-    with pytest.raises(UGFormatError):
+    with pytest.raises(UGFormatError, match="line 3: labels must lie in Z_3"):
         parse_labels(LABELS_MAGIC + "\n3 2 1\n0 5\n1\n")
+    with pytest.raises(UGFormatError, match="line 5: labels must lie in Z_3"):
+        parse_labels(LABELS_MAGIC + "\n3 2 1\n0 1\n\n3\n")
+    with pytest.raises(UGFormatError, match="line 4: labels must lie in Z_3"):
+        parse_labels(LABELS_MAGIC + "\n3 2 1\n0 1\n-1\n")
     with pytest.raises(UGFormatError, match="line 5"):
         parse_labels(LABELS_MAGIC + "\n3 2 1\n0 1\n\n1 2\n")
     with pytest.raises(UGFormatError, match="line 6"):

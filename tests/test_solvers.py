@@ -23,6 +23,7 @@ from minsumvc import (
     star_graph,
     svc_value,
 )
+from minsumvc.graph import inside_weight_table
 
 
 def _random_dyadic_graph(rng):
@@ -36,6 +37,113 @@ def _random_dyadic_graph(rng):
     if not edges:
         edges.append((0, 1, 1.0))
     return WeightedGraph(n, edges)
+
+
+def _dp_reference(graph):
+    """The subset DP with per-bit filtered gathers, kept as an oracle: (value, perm)."""
+    n = graph.n
+    size = 1 << n
+    full = size - 1
+    table = inside_weight_table(graph)
+    comp = table[np.arange(size) ^ full]
+    f = np.full(size, np.inf)
+    f[0] = 0.0
+    parent = np.zeros(size, dtype=np.int8)
+    pop = np.bitwise_count(np.arange(size, dtype=np.int64))
+    order = np.argsort(pop, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(pop, minlength=n + 1))))
+    for k in range(1, n + 1):
+        masks = order[offsets[k]:offsets[k + 1]]
+        best = np.full(masks.size, np.inf)
+        best_v = np.zeros(masks.size, dtype=np.int8)
+        for v in range(n):
+            bit = 1 << v
+            has = (masks & bit) != 0
+            cand = f[masks[has] ^ bit]
+            slot = np.nonzero(has)[0]
+            better = cand < best[slot]
+            best[slot[better]] = cand[better]
+            best_v[slot[better]] = v
+        f[masks] = comp[masks] + best
+        parent[masks] = best_v
+    perm = [0] * n
+    mask = full
+    for pos in range(n - 1, -1, -1):
+        perm[pos] = int(parent[mask])
+        mask ^= 1 << perm[pos]
+    return float(f[full] + table[full]), tuple(perm)
+
+
+def _local_search_reference(graph, k, restarts, seed):
+    """Steepest-swap Max-k-VC recomputing the coverage of every swap, kept as an oracle."""
+    n = graph.n
+    rng = np.random.default_rng(seed)
+    a = graph.weight_matrix()
+    row = a.sum(axis=1)
+
+    def cov_of(mask_arr):
+        idx = np.nonzero(mask_arr)[0]
+        return float(row[idx].sum()) - float(a[np.ix_(idx, idx)].sum()) / 2.0
+
+    best_val, best_set = -1.0, None
+    for _ in range(max(1, restarts)):
+        inside = np.zeros(n, dtype=bool)
+        inside[rng.choice(n, size=k, replace=False)] = True
+        val = cov_of(inside)
+        improved = True
+        while improved:
+            improved = False
+            step_best, step_pair = val + 1e-12, None
+            for x in np.nonzero(inside)[0]:
+                for y in np.nonzero(~inside)[0]:
+                    inside[x], inside[y] = False, True
+                    cand = cov_of(inside)
+                    inside[x], inside[y] = True, False
+                    if cand > step_best:
+                        step_best, step_pair = cand, (x, y)
+            if step_pair is not None:
+                inside[step_pair[0]], inside[step_pair[1]] = False, True
+                val = step_best
+                improved = True
+        if val > best_val:
+            best_val = val
+            best_set = tuple(int(i) for i in np.nonzero(inside)[0])
+    return best_set
+
+
+def test_dp_matches_filtered_gather_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        g = random_weighted_graph(int(rng.integers(2, 13)), 0.5, int(rng.integers(1 << 30)))
+        res = msvc_exact_dp(g)
+        assert (res.value, res.ordering.perm) == _dp_reference(g)
+
+
+def test_local_search_matches_recompute_reference():
+    # unit and dyadic weights keep coverage sums exact
+    rng = np.random.default_rng(37)
+    for trial in range(30):
+        if trial % 2:
+            n = int(rng.integers(4, 15))
+            g = random_weighted_graph(n, 0.4, int(rng.integers(1 << 30)), unit_weights=True)
+        else:
+            g = _random_dyadic_graph(rng)
+        k = int(rng.integers(1, g.n))
+        seed = int(rng.integers(1 << 30))
+        assert max_kvc(g, k, mode="local-search", restarts=3, seed=seed) == _local_search_reference(g, k, 3, seed)
+
+
+def test_local_search_result_has_no_improving_swap():
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        n = int(rng.integers(4, 14))
+        g = random_weighted_graph(n, 0.5, int(rng.integers(1 << 30)))
+        k = int(rng.integers(1, n))
+        best = max_kvc(g, k, mode="local-search", restarts=2, seed=trial)
+        base = covered_weight(g, best)
+        for x in best:
+            for y in set(range(n)) - set(best):
+                assert covered_weight(g, set(best) - {x} | {y}) <= base + 1e-12
 
 
 def test_dp_matches_bruteforce_exactly():
