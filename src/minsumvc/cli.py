@@ -2,7 +2,8 @@
 
 Output conventions: results go to standard output as JSON (or CSV with
 --format csv); a one-line run manifest (subcommand, parameters, seed,
-version, sha256 of each input file, wall time) goes to standard error.
+version, sha256 of each input file, wall time, and for unweight the
+gadget count per subset-check certificate) goes to standard error.
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
 
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -261,7 +263,8 @@ def _cmd_unweight(args):
         with open(args.report, "w", encoding="ascii") as fh:
             json.dump(_clean(report), fh, indent=2)
             fh.write("\n")
-    return payload, [args.input]
+    certificates = Counter(g.subset_check.mode for g in rep.gadgets)
+    return payload, [args.input], {"certificates": dict(sorted(certificates.items()))}
 
 
 def _cmd_regular_ratio(args):
@@ -476,8 +479,9 @@ def main(argv=None):
         "wall_time_s": None,
     }
     try:
-        payload, inputs = args.handler(args)
+        payload, inputs, *extra = args.handler(args)
         manifest["input_digests"] = {path: _sha256(path) for path in inputs}
+        manifest.update(*extra)
     except (ValueError, OSError, RuntimeError, AssertionError) as exc:
         manifest["wall_time_s"] = round(time.perf_counter() - start, 6)
         manifest["error"] = str(exc)

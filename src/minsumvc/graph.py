@@ -500,6 +500,8 @@ def disjoint_union(graphs):
 
 def random_weighted_graph(n, p, seed, unit_weights=False):
     """G(n, p) with unit or Uniform(0.1, 2) weights, at least one edge."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 for at least one edge, got {n}")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n):

@@ -5,9 +5,11 @@ edge (u, v, w) becomes an unweighted bipartite gadget between the blocks in
 which every vertex has degree exactly (1 + eps) * w * m.  Gadgets are drawn
 from near-perfect matchings, rejected unless all degrees land in the band
 [(1 - eps) w m, (1 + eps) w m], then padded with extra edges (never by
-removing any) until the degree is exact.  A subset-deviation check compares
-gadget edge counts against the w-weighted complete bipartite graph on all
-subset pairs, exhaustively for m <= 12 and on seeded samples otherwise.
+removing any) until the degree is exact.  A subset-deviation check bounds
+|e(S,T) - w|S||T|| over all subset pairs against 3 eps w m^2: exactly, by
+enumeration, for m <= 12, and otherwise by a certificate read off the
+padded adjacency (the exact degrees, or the expander mixing lemma).  No
+check samples, so a gadget is accepted only when the bound is proved.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .graph import WeightedGraph
 
 RETRY_BUDGET = 64
 EXHAUSTIVE_MAX_M = 12
-SUBSET_SAMPLES = 10_000
 BLOWUP_MAX_VERTICES = 10_000_000
 
 
@@ -119,7 +120,7 @@ class SubsetCheck:
 
     @property
     def passed(self):
-        return self.max_deviation <= self.bound
+        return self.mode != "none" and self.max_deviation <= self.bound
 
 
 @dataclass(frozen=True)
@@ -238,15 +239,30 @@ def _exhaustive_subset_check(adj, weight, bound):
     return SubsetCheck("exact", (1 << m) * (1 << m), dev, bound)
 
 
-def _sampled_subset_check(adj, weight, bound, rng):
+def _certified_subset_check(adj, weight, bound):
+    """A proven upper bound on |e(S,T) - w|S||T|| over all subset pairs.
+
+    Degree certificate, when every row and column degree equals d:
+    e(S,T) <= d min(|S|,|T|) gives e - w|S||T| <= d^2 / (4w), and each row
+    of S has at most m - |T| edges leaving T, so w|S||T| - e <= w m (m - d).
+    Spectral fallback (expander mixing lemma): |1_S' (A - wJ) 1_T| is at
+    most sigma_max(A - wJ) sqrt(|S||T|) <= sigma_max(A - wJ) m.  Mode
+    "none" carries the smaller bound when neither fits.
+    """
     m = adj.shape[0]
-    a = adj.astype(np.float64)
-    ru = rng.integers(0, 2, size=(SUBSET_SAMPLES, m)).astype(np.float64)
-    rc = rng.integers(0, 2, size=(SUBSET_SAMPLES, m)).astype(np.float64)
-    edges = np.einsum("ij,ij->i", ru @ a, rc)
-    expected = weight * ru.sum(axis=1) * rc.sum(axis=1)
-    dev = float(np.max(np.abs(edges - expected)))
-    return SubsetCheck("sampled", SUBSET_SAMPLES, dev, bound)
+    degrees = np.concatenate([adj.sum(axis=1), adj.sum(axis=0)])
+    degree = np.inf
+    if np.all(degrees == degrees[0]):
+        d = int(degrees[0])
+        degree = max(d * d / (4 * weight), weight * m * (m - d))
+        if degree <= bound:
+            return SubsetCheck("degree", 0, degree, bound)
+    # rounded up by a relative 1e-9, far above the SVD's rounding error: the
+    # bound is attained (S = T = all) whenever d - wm is the top singular value
+    spectral = float(np.linalg.norm(adj - weight, 2)) * m * (1 + 1e-9)
+    if spectral <= bound:
+        return SubsetCheck("spectral", 0, spectral, bound)
+    return SubsetCheck("none", 0, min(degree, spectral), bound)
 
 
 def _hoeffding_min_m(eps, weight):
@@ -289,11 +305,11 @@ def sample_gadget(spec):
         if spec.m <= EXHAUSTIVE_MAX_M:
             check = _exhaustive_subset_check(adj, spec.weight, bound)
         else:
-            check = _sampled_subset_check(adj, spec.weight, bound, rng)
+            check = _certified_subset_check(adj, spec.weight, bound)
         if not check.passed:
+            what = "no subset certificate: bound" if check.mode == "none" else "subset deviation"
             raise GadgetSamplingError(
-                f"subset deviation {check.max_deviation:.6f} exceeds 3*eps*w*m^2 "
-                f"= {bound:.6f}"
+                f"{what} {check.max_deviation:.6f} exceeds 3*eps*w*m^2 = {bound:.6f}"
             )
         adj.flags.writeable = False
         return GadgetResult(spec, adj, attempt, sampled, added, check)

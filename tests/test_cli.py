@@ -163,7 +163,7 @@ def test_unweight_command_and_determinism(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     save_graph(WeightedGraph(2, [(0, 1, 0.5)]), in_path)
 
-    code, out1, _ = run_cli(
+    code, out1, err = run_cli(
         capsys, "unweight", "--input", str(in_path), "--m", "8",
         "--eps", "1/4", "--seed", "9", "--out", str(out_a),
         "--report", str(report_path),
@@ -173,11 +173,21 @@ def test_unweight_command_and_determinism(tmp_path, capsys):
     assert payload["n"] == 16
     assert payload["degree_spread"] == 0
     assert payload["degree_histogram"] == {"5": 16}
+    assert manifest_of(err)["certificates"] == {"exact": 1}
 
     report = json.loads(report_path.read_text())
     assert report["eps"] == "1/4"
     assert len(report["gadgets"]) == 1
+    assert report["gadgets"][0]["subset_mode"] == "exact"
     assert report["gadgets"][0]["subset_margin"] >= 0.0
+
+    # above m = 12 the degree certificate replaces enumeration
+    code, _, err = run_cli(
+        capsys, "unweight", "--input", str(in_path), "--m", "16",
+        "--eps", "1/4", "--seed", "9", "--out", str(out_b),
+    )
+    assert code == 0
+    assert manifest_of(err)["certificates"] == {"degree": 1}
 
     code, out2, _ = run_cli(
         capsys, "unweight", "--input", str(in_path), "--m", "8",

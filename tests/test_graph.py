@@ -247,6 +247,14 @@ def test_factories_shapes():
     assert all(u < 2 <= v for u, v, _ in kb.edges)
 
 
+def test_random_weighted_graph_needs_two_vertices():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            random_weighted_graph(n, 0.5, 0)
+    # with p = 0 the one-edge fallback joins the only two vertices
+    assert random_weighted_graph(2, 0.0, 0).edges == [(0, 1, 1.0)]
+
+
 def test_random_regular_graph_is_regular_and_simple():
     for seed in range(5):
         g = random_regular_graph(10, 3, seed)

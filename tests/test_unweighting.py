@@ -20,6 +20,11 @@ from minsumvc import (
     svc_value,
     unweight,
 )
+from minsumvc.unweighting import (
+    SubsetCheck,
+    _certified_subset_check,
+    _exhaustive_subset_check,
+)
 
 
 def test_blow_up_single_edge():
@@ -141,12 +146,75 @@ def test_subset_check_matches_direct_enumeration():
         assert res.subset_check.pairs_checked == 2**6 * 2**6
 
 
-def test_subset_check_sampled_mode_on_larger_gadgets():
-    res = sample_gadget(GadgetSpec(16, 0.5, Fraction(1, 4), 1))
-    assert res.subset_check.mode == "sampled"
-    assert res.subset_check.pairs_checked == 10_000
-    assert res.subset_check.passed
-    assert res.subset_check.margin >= 0.0
+def test_subset_check_degree_certificate_on_larger_gadgets():
+    # the first bound term leads at w = 1/2, the second at w = 1/64 (the
+    # tightest case of the README's m = 48 example: 35.25 <= 36)
+    for m, w, eps, d in ((16, 0.5, Fraction(1, 4), 10), (48, 1 / 64, Fraction(1, 3), 1)):
+        res = sample_gadget(GadgetSpec(m, w, eps, 1))
+        assert res.spec.target_degree == d
+        assert res.subset_check.mode == "degree"
+        assert res.subset_check.pairs_checked == 0
+        assert res.subset_check.passed
+        assert res.subset_check.margin >= 0.0
+        assert res.subset_check.max_deviation == max(d * d / (4 * w), w * m * (m - d))
+
+
+def test_subset_certificates_bound_the_exhaustive_deviation():
+    # every certificate, passing or not, bounds the exact maximum deviation;
+    # a zero limit forces mode none (the smaller of the two bounds), and an
+    # irregular adjacency leaves only the spectral bound
+    specs = [
+        (6, 0.5, Fraction(1, 3)), (6, 0.25, Fraction(1, 3)),
+        (8, 0.5, Fraction(1, 4)), (8, 0.3, Fraction(1, 4)), (8, 4 / 9, Fraction(1, 8)),
+        (10, 0.4, Fraction(1, 4)), (10, 0.3, Fraction(1, 3)), (10, 6 / 11, Fraction(1, 10)),
+        (12, 0.5, Fraction(1, 6)), (12, 0.2, Fraction(1, 4)), (12, 6 / 13, Fraction(1, 12)),
+        # d - wm is the top singular value: the spectral bound is attained
+        (10, 0.75, Fraction(1, 3)), (11, 8 / 11, Fraction(1, 4)),
+    ]
+    modes = set()
+    for m, w, eps in specs:
+        for seed in range(3):
+            res = sample_gadget(GadgetSpec(m, w, eps, seed))
+            bound = res.subset_check.bound
+            exact = res.subset_check.max_deviation
+            for adj, limit in ((res.adjacency, bound), (res.adjacency, 0.0)):
+                cert = _certified_subset_check(adj, w, limit)
+                assert cert.max_deviation >= exact
+                modes.add(cert.mode)
+            irregular = res.adjacency.copy()
+            irregular[tuple(np.argwhere(irregular)[seed])] = False
+            cert = _certified_subset_check(irregular, w, np.inf)
+            assert cert.mode == "spectral"
+            assert cert.max_deviation >= _exhaustive_subset_check(irregular, w, bound).max_deviation
+    assert modes == {"degree", "none"}
+
+
+def test_subset_check_falls_back_to_spectral_below_eps_0101():
+    # eps < 5 - sqrt(24): (1+eps)^2 > 12 eps, so the degree bound never fits,
+    # and at these sizes the spectral bound does not either
+    for m, w, eps in ((16, 8 / 17, Fraction(1, 16)), (24, 0.5, Fraction(1, 12))):
+        with pytest.raises(GadgetSamplingError, match="no subset certificate"):
+            sample_gadget(GadgetSpec(m, w, eps, 0))
+    # large enough for the expander mixing lemma: sigma_max(A - wJ) * m
+    res = sample_gadget(GadgetSpec(100, 0.5, Fraction(1, 10), 0))
+    a = res.adjacency.astype(float)
+    check = res.subset_check
+    assert check.mode == "spectral" and check.passed and check.pairs_checked == 0
+    assert check.max_deviation == pytest.approx(np.linalg.svd(a - 0.5)[1][0] * 100, rel=1e-8)
+    # it dominates the best column set for 2000 random row sets
+    rows = np.random.default_rng(0).integers(0, 2, size=(2000, 100))
+    counts = np.sort(rows @ a, axis=1)
+    k = np.arange(101)
+    top = np.concatenate([np.zeros((2000, 1)), np.cumsum(counts[:, ::-1], axis=1)], axis=1)
+    bot = np.concatenate([np.zeros((2000, 1)), np.cumsum(counts, axis=1)], axis=1)
+    expected = 0.5 * rows.sum(axis=1)[:, None] * k[None, :]
+    assert check.max_deviation >= max(np.max(top - expected), np.max(expected - bot))
+
+
+def test_subset_check_passes_only_with_a_certificate():
+    assert SubsetCheck("degree", 0, 1.0, 2.0).passed
+    assert not SubsetCheck("degree", 0, 3.0, 2.0).passed
+    assert not SubsetCheck("none", 0, 1.0, 2.0).passed
 
 
 def test_unweight_single_edge():
