@@ -2,8 +2,10 @@
 
 Output conventions: results go to standard output as JSON (or CSV with
 --format csv); a one-line run manifest (subcommand, parameters, seed,
-version, sha256 of each input file, wall time, and for unweight the
-gadget count per subset-check certificate) goes to standard error.
+version, sha256 of each input file, wall time, for unweight the gadget
+count per subset-check certificate, and for hardness composite, hardness
+optimize and solve --method exact the thread pool size `workers`) goes to
+standard error.
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .graph import WeightedGraph, load_graph, save_graph, svc_value
+from .graph import WeightedGraph, _workers, load_graph, save_graph, svc_value
 from .hardness import (
     composite_ratio,
     figure1_config,
@@ -146,6 +148,8 @@ def _cmd_solve(args):
     else:
         res = msvc_two_phase(graph, seed=args.seed)
     payload = {"value": res.value, "ordering": list(res.ordering), "method": res.method}
+    if args.method == "exact":
+        return payload, [args.input], {"workers": _workers()}
     return payload, [args.input]
 
 
@@ -168,7 +172,7 @@ def _cmd_hardness_composite(args):
         "soundness_value": rep.soundness_value,
         "ratio": round(rep.ratio, 6),
     }
-    return payload, inputs
+    return payload, inputs, {"workers": _workers()}
 
 
 def _cmd_hardness_optimize(args):
@@ -188,7 +192,7 @@ def _cmd_hardness_optimize(args):
         "ratio": round(res.ratio, 6),
         "pairs": [[a, r] for a, r in res.config.pairs],
     }
-    return payload, inputs
+    return payload, inputs, {"workers": _workers()}
 
 
 def _cmd_reduce_build(args):

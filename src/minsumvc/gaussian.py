@@ -273,21 +273,24 @@ def copula_diag_integral(rho, min_exp=12, tol=1e-7, max_exp=15):
 
     Composite Simpson on a uniform dyadic grid of at least 2^min_exp + 1
     nodes; the value on the doubled grid must agree within tol (the halved
-    grid is the stride-2 subgrid, so one evaluation serves both).
+    grid is the stride-2 subgrid, so one evaluation serves both).  Raises
+    RuntimeError when no grid up to 2^max_exp + 1 nodes agrees.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
-    prev = None
+    gap = None
     for g in range(min_exp, max_exp + 1):
         n = (1 << g) + 1
         r = np.linspace(0.0, 1.0, n)
         vals = copula_diag_grid(rho, r)
         full = _simpson_uniform(vals, 1.0 / (n - 1))
-        half = _simpson_uniform(vals[::2], 2.0 / (n - 1))
-        if abs(full - half) <= tol:
+        gap = abs(full - _simpson_uniform(vals[::2], 2.0 / (n - 1)))
+        if gap <= tol:
             return full
-        prev = full
-    return prev
+    raise RuntimeError(
+        f"copula_diag_integral({rho}) not converged to tol={tol} by 2^{max_exp} "
+        f"intervals: last gap {gap}"
+    )
 
 
 def _simpson_uniform(vals, h):

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -48,6 +50,20 @@ _TABLE_MAX_BITS = 24
 # Above this, min_subset_density prefers plain subset enumeration to a
 # full 2^n table.
 _DENSITY_BITMASK_BITS = 22
+
+
+def _workers():
+    """Pool size: one thread per CPU in this process's affinity set."""
+    return len(os.sched_getaffinity(0))
+
+
+def _parallel_map(fn, items):
+    """list(map(fn, items)) on _workers() threads, results in input order.
+
+    The calls must write disjoint data; they overlap where numpy drops the GIL.
+    """
+    with ThreadPoolExecutor(_workers()) as pool:
+        return list(pool.map(fn, items))
 
 
 class GraphFormatError(ValueError):
@@ -194,6 +210,12 @@ class Ordering:
             pos[np.asarray(self.perm, dtype=np.int64)] = np.arange(len(self.perm))
             self._pos = pos
         return self._pos
+
+    def __eq__(self, other):
+        return isinstance(other, Ordering) and self.perm == other.perm
+
+    def __hash__(self):
+        return hash(self.perm)
 
     def __repr__(self):
         return f"Ordering({list(self.perm)})"

@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .gaussian import copula_diag_grid, copula_diag_integral
-from .graph import _RecordFormat, _read_records, _write_records
+from .graph import _parallel_map, _RecordFormat, _read_records, _write_records
 
 CONFIG_MAGIC = "msvc-hardness 1"
 
@@ -257,7 +257,11 @@ def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12, *, cache=None):
     """Greedy-scheduled soundness/completeness ratio of a composite config.
 
     cache, if given, is a dict that keeps the profile pair of each
-    (rho, gamma, eps, g) for later calls with the same dict.
+    (rho, gamma, eps, g) for later calls with the same dict.  The pairs
+    not yet cached are built on one thread per CPU (graph._parallel_map)
+    and inserted in the order their rhos first appear in cfg; each pair
+    is computed exactly as on one thread, so the bits do not depend on
+    the CPU count.
     """
     if steps < 1000:
         raise ValueError("steps must be at least 1000")
@@ -265,13 +269,14 @@ def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12, *, cache=None):
     alphas = cfg.alphas
 
     cache = {} if cache is None else cache
-    built = []
-    for _, rho in cfg.pairs:
-        key = (rho, gamma, eps, g)
-        if key not in cache:
-            cache[key] = (completeness_profile(rho, gamma, g=g), soundness_profile(rho, eps, g=g))
-        built.append(cache[key])
-    c_profiles, s_profiles = zip(*built)
+    keys = [(rho, gamma, eps, g) for _, rho in cfg.pairs]
+    missing = list(dict.fromkeys(key for key in keys if key not in cache))
+    built = _parallel_map(
+        lambda key: (completeness_profile(key[0], gamma, g=g), soundness_profile(key[0], eps, g=g)),
+        missing,
+    )
+    cache.update(zip(missing, built))
+    c_profiles, s_profiles = zip(*(cache[key] for key in keys))
 
     c_value, c_trace = _greedy_schedule(alphas, c_profiles, per_graph)
     s_value, s_trace = _greedy_schedule(alphas, s_profiles, per_graph)

@@ -7,6 +7,11 @@ W(S, S) the weight inside S and f(0) = 0,
 
 gives the cover-time sum of steps 1..|S| for the best schedule whose first
 |S| picks are exactly S; the optimum is f(V) plus the step-0 term W(V, V).
+Layer k (the masks with |S| = k, in ascending order) reads only layer k - 1
+and still-infinite layer k + 1 entries and writes its own, so its masks are
+relaxed in DP_CHUNK-sized tasks on one thread per CPU; each mask sees the
+same operations in the same order, so value and ordering do not depend on
+the CPU count.
 A brute-force enumeration over all n! orderings serves as an independent
 oracle for n <= 8.
 
@@ -23,11 +28,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph, inside_weight_table, svc_value
+from .graph import Ordering, WeightedGraph, _parallel_map, inside_weight_table, svc_value
 
 DP_MAX_VERTICES = 24
 BRUTE_MAX_VERTICES = 8
 KVC_BUDGET = 10**7
+# masks per exact-DP task
+DP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,14 +65,9 @@ def msvc_exact_dp(graph):
     f = np.full(size, np.inf)
     f[0] = 0.0
     parent = np.zeros(size, dtype=np.int8)
+    pop = np.bitwise_count(np.arange(size, dtype=np.int32))
 
-    pop = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-    order = np.argsort(pop, kind="stable")
-    counts = np.bincount(pop, minlength=n + 1)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-
-    for k in range(1, n + 1):
-        masks = order[offsets[k]:offsets[k + 1]]
+    def relax(masks):
         best = np.full(masks.size, np.inf)
         best_v = np.zeros(masks.size, dtype=np.int8)
         for v in range(n):
@@ -76,6 +78,10 @@ def msvc_exact_dp(graph):
             np.copyto(best_v, v, where=better)
         f[masks] = table[masks ^ full] + best
         parent[masks] = best_v
+
+    for k in range(1, n + 1):
+        masks = np.flatnonzero(pop == k)
+        _parallel_map(relax, np.split(masks, range(DP_CHUNK, masks.size, DP_CHUNK)))
 
     value = float(f[full] + table[full])
     perm = [0] * n
@@ -153,8 +159,8 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
             raise ValueError(f"C({n},{k}) exceeds the exact budget {KVC_BUDGET}")
         if n <= DP_MAX_VERTICES:
             table = inside_weight_table(graph)
-            pop = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-            masks = np.nonzero(pop == k)[0]
+            pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
+            masks = np.flatnonzero(pop == k)
             # covered(S) = total - W(S^c, S^c)
             vals = table[masks ^ ((1 << n) - 1)]
             i = int(np.argmin(vals))

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: payloads, manifests, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minsumvc
 from minsumvc import (
     HardnessConfig,
     WeightedGraph,
@@ -11,6 +16,7 @@ from minsumvc import (
     load_graph,
     load_hardness_config,
     random_affine_instance,
+    random_weighted_graph,
     save_graph,
     save_hardness_config,
     save_labels,
@@ -93,11 +99,12 @@ def test_hardness_optimize_writes_config(tmp_path, capsys):
     cfg_path = tmp_path / "seed.cfg"
     out_path = tmp_path / "opt.cfg"
     save_hardness_config(HardnessConfig(((1.0, -0.3),)), cfg_path)
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "hardness", "optimize", "--config", str(cfg_path),
         "--budget", "40", "--steps", "2000", "--out", str(out_path),
     )
     assert code == 0
+    assert manifest_of(err)["workers"] == len(os.sched_getaffinity(0))
     payload = json.loads(out)
     assert payload["evaluations"] <= payload["budget"] == 40
     assert payload["ratio"] > 1.0
@@ -286,3 +293,39 @@ def test_stdout_bit_reproducible(capsys):
     code2, out2, _ = run_cli(capsys, "gaussian", "integral", "--rho", "-0.52")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# Runs the CLI in a fresh interpreter.  Pinning happens before minsumvc (and
+# numpy) is imported, so every thread the run starts inherits one CPU.  The
+# small DP_CHUNK makes the n = 16 layers split into several tasks.
+_PINNED_CHILD = """
+import os, sys
+if {pin}:
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+sys.path.insert(0, {src!r})
+import minsumvc.solvers
+minsumvc.solvers.DP_CHUNK = 1 << 10
+from minsumvc.cli import main
+sys.exit(main({argv!r}))
+"""
+
+
+def _run_child(argv, pin):
+    src = str(Path(minsumvc.__file__).resolve().parent.parent)
+    code = _PINNED_CHILD.format(pin=pin, src=src, argv=list(argv))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    return proc.stdout, json.loads(proc.stderr.decode().splitlines()[0])
+
+
+def test_stdout_identical_on_one_cpu_and_on_all(tmp_path):
+    path = tmp_path / "n16.graph"
+    save_graph(random_weighted_graph(16, 0.4, 5), path)
+    cpus = len(os.sched_getaffinity(0))
+    for argv in (
+        ["hardness", "composite", "--steps", "20000"],
+        ["solve", "--method", "exact", "--input", str(path)],
+    ):
+        one_out, one_manifest = _run_child(argv, pin=True)
+        all_out, all_manifest = _run_child(argv, pin=False)
+        assert one_out == all_out
+        assert (one_manifest["workers"], all_manifest["workers"]) == (1, cpus)

@@ -151,6 +151,12 @@ def test_diag_integral_closed_form():
         assert copula_diag_integral(rho) == pytest.approx(oracle, abs=2e-7)
 
 
+def test_diag_integral_raises_when_not_converged():
+    # at rho = 0.5 the 2^12 and 2^13 grids differ by about 4e-11, never 0
+    with pytest.raises(RuntimeError, match=r"copula_diag_integral\(0\.5\).*tol=0\.0.*last gap"):
+        copula_diag_integral(0.5, tol=0.0, max_exp=13)
+
+
 def test_diag_integral_boundary_values():
     assert copula_diag_integral(0.0) == pytest.approx(1.0 / 3.0, abs=2e-7)
     assert copula_diag_integral(-1.0) == pytest.approx(0.25, abs=2e-7)

@@ -148,6 +148,14 @@ def test_ordering_validation_and_positions():
         svc_value(TRIANGLE, Ordering((0, 1)))
 
 
+def test_ordering_equality_and_hash_follow_perm():
+    a, b = Ordering((0, 1, 2)), Ordering([0, 1, 2])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert Ordering((0, 1)) == Ordering((0, 1))
+    assert Ordering((1, 0)) != Ordering((0, 1))
+    assert Ordering((0, 1)) != (0, 1)
+
+
 def test_inside_weight_table_against_direct_sum():
     rng = np.random.default_rng(5)
     for trial in range(10):

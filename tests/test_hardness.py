@@ -24,6 +24,7 @@ from minsumvc import (
     single_ratio,
     soundness_profile,
 )
+from minsumvc import hardness
 from minsumvc.hardness import _greedy_schedule
 
 TAU = 2.0 * math.pi
@@ -265,6 +266,31 @@ def test_greedy_schedule_matches_step_loop_on_nonconcave_profiles():
             alphas = rng.choice([0.5, 1.0, 2.0, 3.0], size=k)
         per_graph = size - 1 if trial % 2 else int(rng.integers(1, 3 * size))
         _assert_same_schedule(alphas, profiles, per_graph)
+
+
+def test_composite_profiles_built_in_threads_match_serial_build(monkeypatch):
+    # a repeated rho and a pre-seeded cache entry: only the missing keys are
+    # built, and the cache keeps first-seen order
+    cfg = HardnessConfig(((1.0, -0.3), (2.0, -0.7), (0.5, -0.3), (1.5, -0.1), (1.0, -0.9)))
+
+    def run():
+        cache = {(-0.1, 0.0, 0.0, 12): (completeness_profile(-0.1), soundness_profile(-0.1))}
+        return composite_ratio(cfg, steps=5000, cache=cache), cache
+
+    threaded, threaded_cache = run()
+    monkeypatch.setattr(hardness, "_parallel_map", lambda fn, items: list(map(fn, items)))
+    serial, serial_cache = run()
+    assert list(threaded_cache) == list(serial_cache) == [
+        (rho, 0.0, 0.0, 12) for rho in (-0.1, -0.3, -0.7, -0.9)
+    ]
+    for key, (c, s) in threaded_cache.items():
+        assert np.array_equal(c.grid, serial_cache[key][0].grid)
+        assert np.array_equal(s.grid, serial_cache[key][1].grid)
+    assert threaded.completeness_value == serial.completeness_value
+    assert threaded.soundness_value == serial.soundness_value
+    assert threaded.ratio == serial.ratio
+    assert np.array_equal(threaded.completeness_schedule, serial.completeness_schedule)
+    assert np.array_equal(threaded.soundness_schedule, serial.soundness_schedule)
 
 
 def test_composite_beats_best_single_on_figure_config():

@@ -1,5 +1,6 @@
 """Exact DP against brute force, approximation bands, Max-k-VC."""
 
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +24,7 @@ from minsumvc import (
     star_graph,
     svc_value,
 )
+from minsumvc import solvers
 from minsumvc.graph import inside_weight_table
 
 
@@ -117,6 +119,27 @@ def test_dp_matches_filtered_gather_reference():
         g = random_weighted_graph(int(rng.integers(2, 13)), 0.5, int(rng.integers(1 << 30)))
         res = msvc_exact_dp(g)
         assert (res.value, res.ordering.perm) == _dp_reference(g)
+
+
+@pytest.mark.parametrize("workers", [None, 8])
+def test_dp_layer_chunks_match_reference_serial_or_oversubscribed(monkeypatch, workers):
+    # chunks of 7 masks split every layer but the ends into many tasks; run
+    # them in order, or on more threads than CPUs switching every microsecond
+    monkeypatch.setattr(solvers, "DP_CHUNK", 7)
+    if workers is None:
+        monkeypatch.setattr(solvers, "_parallel_map", lambda fn, items: list(map(fn, items)))
+    else:
+        monkeypatch.setattr("minsumvc.graph._workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rng = np.random.default_rng(43)
+        for trial in range(12):
+            g = random_weighted_graph(int(rng.integers(2, 13)), 0.5, int(rng.integers(1 << 30)))
+            res = msvc_exact_dp(g)
+            assert (res.value, res.ordering.perm) == _dp_reference(g)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_local_search_matches_recompute_reference():

@@ -191,10 +191,15 @@ def test_subset_certificates_bound_the_exhaustive_deviation():
 
 def test_subset_check_falls_back_to_spectral_below_eps_0101():
     # eps < 5 - sqrt(24): (1+eps)^2 > 12 eps, so the degree bound never fits,
-    # and at these sizes the spectral bound does not either
-    for m, w, eps in ((16, 8 / 17, Fraction(1, 16)), (24, 0.5, Fraction(1, 12))):
-        with pytest.raises(GadgetSamplingError, match="no subset certificate"):
-            sample_gadget(GadgetSpec(m, w, eps, 0))
+    # and at these sizes the spectral bound does not either; at m = 16
+    # enumeration still proves the bound, at m = 24 nothing does
+    res = sample_gadget(GadgetSpec(16, 8 / 17, Fraction(1, 16), 0))
+    check = res.subset_check
+    assert check.mode == "exact" and check.passed and check.pairs_checked == 1 << 32
+    assert check.max_deviation == _exhaustive_subset_check(res.adjacency, 8 / 17, check.bound).max_deviation
+    assert _certified_subset_check(res.adjacency, 8 / 17, check.bound).mode == "none"
+    with pytest.raises(GadgetSamplingError, match="no subset certificate"):
+        sample_gadget(GadgetSpec(24, 0.5, Fraction(1, 12), 0))
     # large enough for the expander mixing lemma: sigma_max(A - wJ) * m
     res = sample_gadget(GadgetSpec(100, 0.5, Fraction(1, 10), 0))
     a = res.adjacency.astype(float)
