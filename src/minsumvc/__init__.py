@@ -23,7 +23,6 @@ from .graph import (
     GRAPH_MAGIC,
     GraphFormatError,
     Ordering,
-    SubsetDensityReport,
     WeightedGraph,
     complete_bipartite,
     complete_graph,
@@ -32,7 +31,6 @@ from .graph import (
     disjoint_union,
     inside_weight_table,
     load_graph,
-    min_subset_density,
     path_graph,
     random_regular_graph,
     random_weighted_graph,
@@ -40,7 +38,6 @@ from .graph import (
     save_graph,
     star_graph,
     svc_value,
-    svc_value_suffix,
     write_graph,
 )
 from .hardness import (
@@ -105,7 +102,6 @@ from .solvers import (
     msvc_bruteforce,
     msvc_exact_dp,
     msvc_greedy,
-    msvc_random,
     msvc_two_phase,
 )
 from .unweighting import (

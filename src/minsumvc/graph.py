@@ -11,8 +11,8 @@ is that step number.  The sum-vertex-cover value of an ordering is
     svc(sigma) = sum_e w_e * cover_time(sigma, e)
 
 which equals the sum over t = 0..n-1 of the total weight still uncovered
-after the first t visits.  Both computations are implemented; tests hold
-them against each other.
+after the first t visits.  svc_value computes the first; tests hold it
+against the second.
 
 Text format (LF line endings, 0-based vertex ids)::
 
@@ -29,27 +29,17 @@ line of the file.
 from __future__ import annotations
 
 import io
-import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 GRAPH_MAGIC = "msvc-graph 1"
 
-# Exhaustive subset enumeration refuses above this many subsets.
-SUBSET_BUDGET = 10**7
-
 # Bitmask tables are only built while 2^n stays modest.
 _TABLE_MAX_BITS = 24
-
-# Above this, min_subset_density prefers plain subset enumeration to a
-# full 2^n table.
-_DENSITY_BITMASK_BITS = 22
 
 
 def _workers():
@@ -61,7 +51,10 @@ def _parallel_map(fn, items):
     """list(map(fn, items)) on _workers() threads, results in input order.
 
     The calls must write disjoint data; they overlap where numpy drops the GIL.
+    A list of fewer than two items runs inline, without a pool.
     """
+    if len(items) < 2:
+        return list(map(fn, items))
     with ThreadPoolExecutor(_workers()) as pool:
         return list(pool.map(fn, items))
 
@@ -153,24 +146,6 @@ class WeightedGraph:
         np.add.at(d, self._v, 1)
         return d
 
-    def aggregate_parallel(self):
-        """Merge parallel edges, summing weights. Explicit, never implicit."""
-        lo = np.minimum(self._u, self._v)
-        hi = np.maximum(self._u, self._v)
-        key = lo * self.n + hi
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
-        uniq, start = np.unique(key_s, return_index=True)
-        sums = np.add.reduceat(self._w[order], start) if key_s.size else np.array([])
-        return WeightedGraph.from_arrays(self.n, uniq // self.n, uniq % self.n, sums)
-
-    def relabel(self, perm):
-        """New graph with vertex i renamed to perm[i]."""
-        p = np.asarray(perm, dtype=np.int64)
-        if sorted(p.tolist()) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        return WeightedGraph.from_arrays(self.n, p[self._u], p[self._v], self._w.copy())
-
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
             return NotImplemented
@@ -236,23 +211,6 @@ def svc_value(graph, ordering):
     return float(np.dot(w, cover_times(graph, ordering)))
 
 
-def svc_value_suffix(graph, ordering):
-    """Same value accumulated as uncovered weight after each prefix.
-
-    Kept as an independent code path; tests compare it with svc_value.
-    """
-    if len(ordering) != graph.n:
-        raise ValueError("ordering length does not match vertex count")
-    u, v, w = graph.edge_arrays()
-    visited = np.zeros(graph.n, dtype=bool)
-    total = 0.0
-    for t, vertex in enumerate(ordering):
-        uncovered = ~(visited[u] | visited[v])
-        total += float(w[uncovered].sum())
-        visited[vertex] = True
-    return total
-
-
 def inside_weight_table(graph):
     """table[mask] = total weight of edges with both endpoints in mask.
 
@@ -264,80 +222,14 @@ def inside_weight_table(graph):
     a = graph.weight_matrix()
     table = np.zeros(1 << n)
     for v in range(n - 1, -1, -1):
-        rest = np.arange(0, 1 << (n - v - 1), dtype=np.int64) << (v + 1)
-        cross = np.zeros(rest.size)
-        for u in range(v + 1, n):
-            if a[v, u] != 0.0:
-                cross += a[v, u] * ((rest >> u) & 1)
-        table[rest | (1 << v)] = table[rest] + cross
+        # cross[i] = weight from v into the set i << (v + 1), summed by
+        # doubling: the sets with top bit j add a[v, v + 1 + j] to those without
+        cross = np.zeros(1 << (n - v - 1))
+        for j in range(n - v - 1):
+            cross[1 << j : 2 << j] = cross[: 1 << j] + a[v, v + 1 + j]
+        # masks with lowest bit v from those with no bit at or below v
+        table[1 << v :: 2 << v] = table[:: 2 << v] + cross
     return table
-
-
-@dataclass
-class SubsetDensityReport:
-    k: int
-    r: float
-    min_density: float
-    witness: tuple
-    mode: str
-    exact: bool
-
-
-def min_subset_density(graph, k, mode="exhaustive", trials=10000, seed=0):
-    """Minimum over k-subsets S of w(S,S) / w(V,V).
-
-    mode="exhaustive" enumerates every subset (budget-guarded); the reported
-    minimum is exact.  mode="sampled" draws seeded random subsets and reports
-    an upper estimate of the true minimum, marked exact=False.
-    """
-    n = graph.n
-    if not 0 <= k <= n:
-        raise ValueError("k out of range")
-    total = graph.total_weight()
-    if total <= 0.0:
-        raise ValueError("graph has no edges")
-    if k == 0:
-        return SubsetDensityReport(0, 0.0, 0.0, (), "exhaustive", True)
-
-    if mode == "exhaustive":
-        if math.comb(n, k) > SUBSET_BUDGET:
-            raise ValueError(
-                f"C({n},{k}) exceeds the exhaustive budget {SUBSET_BUDGET}; "
-                "use mode='sampled'"
-            )
-        if n <= _DENSITY_BITMASK_BITS:
-            table = inside_weight_table(graph)
-            masks = np.arange(1 << n, dtype=np.int64)
-            sel = masks[np.bitwise_count(masks) == k]
-            vals = table[sel]
-            i = int(np.argmin(vals))
-            best_mask = int(sel[i])
-            witness = tuple(b for b in range(n) if best_mask >> b & 1)
-            best = float(vals[i])
-        else:
-            a = graph.weight_matrix()
-            best = math.inf
-            witness = None
-            for comb in combinations(range(n), k):
-                idx = np.asarray(comb)
-                val = float(a[np.ix_(idx, idx)].sum()) / 2.0
-                if val < best:
-                    best, witness = val, comb
-        return SubsetDensityReport(k, k / n, best / total, tuple(witness), "exhaustive", True)
-
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        a = graph.weight_matrix()
-        best = math.inf
-        witness = None
-        for _ in range(trials):
-            idx = rng.permutation(n)[:k]
-            val = float(a[np.ix_(idx, idx)].sum()) / 2.0
-            if val < best:
-                best, witness = val, tuple(sorted(int(x) for x in idx))
-        return SubsetDensityReport(k, k / n, best / total, witness, "sampled", False)
-
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _format_weight(w):

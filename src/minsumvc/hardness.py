@@ -5,7 +5,12 @@ A single hardness instance at correlation rho yields the ratio
 
     single_ratio(rho) = (3 - rho) * integral over r of C_rho(r, r) dr,
 
-the soundness integral divided by the completeness limit 1/(3 - rho).
+the soundness integral divided by the completeness limit 1/(3 - rho).  The
+integral is Pr[X <= Z, Y <= Z] for standard normals X, Y with correlation
+rho and an independent standard normal Z: the orthant probability of
+(Z - X, Z - Y), whose correlation is (1 + rho)/2.  Sheppard's formula
+(Phil. Trans. R. Soc. A 192, 1899) gives it in closed form as
+1/4 + arcsin((1 + rho)/2) / (2 pi), so no quadrature is needed.
 
 Composite instances take k weighted sub-instances (alpha_i, rho_i).  The
 completeness and soundness sides are each represented by a coverage profile
@@ -18,12 +23,13 @@ i.e. the average cover time; the ratio is soundness over completeness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .gaussian import copula_diag_grid, copula_diag_integral
+from .gaussian import copula_diag_grid
 from .graph import _parallel_map, _RecordFormat, _read_records, _write_records
 
 CONFIG_MAGIC = "msvc-hardness 1"
@@ -92,10 +98,11 @@ def single_ratio(rho):
     """Soundness integral over completeness limit for one instance.
 
     Defined on [-1, 0]; the boundary rho = -1 is the continuity limit 1.
+    The integral is Sheppard's closed form (module docstring).
     """
     if not -1.0 <= rho <= 0.0:
         raise ValueError(f"rho must lie in [-1, 0], got {rho}")
-    return (3.0 - rho) * copula_diag_integral(rho)
+    return (3.0 - rho) * (0.25 + math.asin((1.0 + rho) / 2.0) / (2.0 * math.pi))
 
 
 def completeness_profile(rho, gamma=0.0, depth=60, g=12):

@@ -259,10 +259,7 @@ def verify_reduction(graph, instance, rho):
     du, dv = instance.u_degree, instance.v_degree
     target = dv * du * 2.0 ** (1 - L)
 
-    u, v, w = graph.edge_arrays()
-    incident = np.zeros(graph.n)
-    np.add.at(incident, u, w)
-    np.add.at(incident, v, w)
+    incident = graph.weighted_degrees()
     loops = _loop_mass(instance, rho)
     loop_total = float(loops.sum())
 
@@ -283,7 +280,7 @@ def verify_reduction(graph, instance, rho):
     block_dev = abs(block - 1.0) if instance.m else 0.0
 
     if graph.m:
-        vals = np.unique(w)
+        vals = np.unique(graph.edge_arrays()[2])
         ok = bool(np.all(np.min(np.abs(vals[:, None] - pw[None, :]), axis=1) <= 1e-12 * np.max(pw)))
     else:
         ok = True

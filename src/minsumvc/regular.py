@@ -8,6 +8,11 @@ where the optimum covers a (1/4 + delta) fraction by time n/2,
 
     (8 - 5 alpha + 5 alpha sqrt(delta)) / (3 + 12 delta),  delta in (0, eps].
 
+In u = sqrt(delta) the second branch rises up to the positive root of
+15 alpha - 24 (8 - 5 alpha) u - 60 alpha u^2 and falls after it, so its
+supremum over (0, eps] is its value at min(eps, delta*), delta* the square
+of that root; no sweep over delta is needed.
+
 The disjoint union of K_{2,2} and K_3 blocks shows the half-time coverage
 factor 1 - sqrt(delta) behind that second branch cannot be improved to
 1 - delta; the construction and its exhaustive verification live here too.
@@ -37,13 +42,23 @@ def _second_branch(delta, alpha):
 
 
 def _interior_critical_delta(alpha):
-    """The stationary point of the second branch in u = sqrt(delta), if any."""
+    """The stationary point of the second branch in u = sqrt(delta).
+
+    The quadratic 60 alpha u^2 + (192 - 120 alpha) u - 15 alpha has roots
+    of opposite signs for alpha > 0; delta* is the positive one squared,
+    0.0328 at alpha = 1 and smaller for smaller alpha.
+    """
     a = 60.0 * alpha
     b = 192.0 - 120.0 * alpha
     c = -15.0 * alpha
     disc = b * b - 4.0 * a * c
     u = (-b + math.sqrt(disc)) / (2.0 * a)
-    return u * u if u > 0.0 else None
+    return u * u
+
+
+def _sup_second_branch(eps, alpha):
+    """Supremum of the second branch over delta in (0, eps], elementwise in eps."""
+    return _second_branch(np.minimum(eps, _interior_critical_delta(alpha)), alpha)
 
 
 def two_phase_ratio(eps, alpha=ALPHA_MAX2SAT_BISECTION):
@@ -53,12 +68,7 @@ def two_phase_ratio(eps, alpha=ALPHA_MAX2SAT_BISECTION):
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     greedy_branch = 4.0 / (3.0 + 12.0 * eps)
-    grid = np.linspace(eps * 1e-5, eps, 100_000)
-    sup = float(np.max(_second_branch(grid, alpha)))
-    crit = _interior_critical_delta(alpha)
-    if crit is not None and crit <= eps:
-        sup = max(sup, float(_second_branch(np.array(crit), alpha)))
-    return max(greedy_branch, sup)
+    return max(greedy_branch, float(_sup_second_branch(eps, alpha)))
 
 
 @dataclass(frozen=True)
@@ -79,17 +89,12 @@ def optimize_two_phase(alpha=ALPHA_MAX2SAT_BISECTION, step=RATIO_GRID_STEP):
     """Minimize the ratio over eps; the two branches meet at the optimum.
 
     The greedy branch falls in eps while the sup branch rises, so the
-    minimax sits where they cross; both are swept on a shared grid with a
-    running maximum so the whole sweep is one vectorized pass.
+    minimax sits where they cross; both are evaluated on one eps grid.
     """
     if not 0.8 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0.8, 1], got {alpha}")
     eps_grid = np.arange(step, 0.25, step)
-    sup = np.maximum.accumulate(_second_branch(eps_grid, alpha))
-    crit = _interior_critical_delta(alpha)
-    if crit is not None and crit < 0.25:
-        peak = float(_second_branch(np.array(crit), alpha))
-        sup = np.where(eps_grid >= crit, np.maximum(sup, peak), sup)
+    sup = _sup_second_branch(eps_grid, alpha)
     greedy = 4.0 / (3.0 + 12.0 * eps_grid)
     ratios = np.maximum(greedy, sup)
     i = int(np.argmin(ratios))
@@ -287,10 +292,7 @@ def coverage_bound_check(graph, delta, msvc_value=None):
     anyway with applicable=False and the failed condition named.
     """
     n = graph.n
-    u, v, w = graph.edge_arrays()
-    incident = np.zeros(n)
-    np.add.at(incident, u, w)
-    np.add.at(incident, v, w)
+    incident = graph.weighted_degrees()
     top = float(incident.max())
     if top <= 0.0 or (top - float(incident.min())) > 1e-9 * top:
         raise ValueError("graph is not weighted-regular")

@@ -15,9 +15,9 @@ the CPU count.
 A brute-force enumeration over all n! orderings serves as an independent
 oracle for n <= 8.
 
-Approximate solvers: greedy by uncovered incident weight, a two-phase
+Approximate solvers: greedy by uncovered incident weight and a two-phase
 schedule built around an exact or local-search Max-k-VC subset at
-k = floor(n/2), and a seeded random ordering baseline.
+k = floor(n/2).
 """
 
 from __future__ import annotations
@@ -119,13 +119,6 @@ def msvc_greedy(graph):
     return SolveResult(svc_value(graph, ordering), ordering, "greedy")
 
 
-def msvc_random(graph, seed):
-    """Seeded uniformly random ordering baseline."""
-    rng = np.random.default_rng(seed)
-    ordering = Ordering(tuple(int(x) for x in rng.permutation(graph.n)))
-    return SolveResult(svc_value(graph, ordering), ordering, f"random({seed})")
-
-
 def covered_weight(graph, subset):
     """Total weight of edges with at least one endpoint in subset."""
     u, v, w = graph.edge_arrays()
@@ -204,15 +197,18 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def msvc_two_phase(graph, kvc_mode="exact", restarts=10, seed=0):
+def msvc_two_phase(graph, kvc_mode=None, restarts=10, seed=0):
     """Visit a max-coverage half greedily, then the rest greedily.
 
     Phase 1 picks the vertices of a Max-k-VC subset at k = floor(n/2)
     (greedy internal order); phase 2 visits the complement the same way.
-    Returns the better of this schedule and plain greedy.
+    Returns the better of this schedule and plain greedy.  kvc_mode None
+    means "exact" while C(n, n/2) <= KVC_BUDGET and "local-search" beyond.
     """
     n = graph.n
     k = n // 2
+    if kvc_mode is None:
+        kvc_mode = "exact" if math.comb(n, k) <= KVC_BUDGET else "local-search"
     subset = max_kvc(graph, k, mode=kvc_mode, restarts=restarts, seed=seed)
     inside = np.zeros(n, dtype=bool)
     inside[list(subset)] = True

@@ -383,10 +383,7 @@ def unweight(graph, m, eps, seed):
     else:
         out = WeightedGraph.from_arrays(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
-    degrees = np.zeros(n, dtype=np.int64)
-    ou, ov, _ = out.edge_arrays()
-    np.add.at(degrees, ou, 1)
-    np.add.at(degrees, ov, 1)
+    degrees = out.degrees()
     hist_vals, hist_counts = np.unique(degrees, return_counts=True)
     report = UnweightReport(
         m=m,

@@ -1,0 +1,129 @@
+"""Independent reference implementations that the test modules check against.
+
+Not a test module (pytest collects only test_*.py); the tests import it by
+name from this directory.
+"""
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+
+from minsumvc import Ordering, SolveResult, WeightedGraph, inside_weight_table, svc_value
+
+# Exhaustive subset enumeration refuses above this many subsets.
+SUBSET_BUDGET = 10**7
+
+# Above this, min_subset_density prefers plain subset enumeration to a
+# full 2^n table.
+_DENSITY_BITMASK_BITS = 22
+
+
+def svc_value_suffix(graph, ordering):
+    """svc value accumulated as the uncovered weight after each prefix."""
+    if len(ordering) != graph.n:
+        raise ValueError("ordering length does not match vertex count")
+    u, v, w = graph.edge_arrays()
+    visited = np.zeros(graph.n, dtype=bool)
+    total = 0.0
+    for vertex in ordering:
+        uncovered = ~(visited[u] | visited[v])
+        total += float(w[uncovered].sum())
+        visited[vertex] = True
+    return total
+
+
+def aggregate_parallel(graph):
+    """Merge parallel edges, summing weights."""
+    u, v, w = graph.edge_arrays()
+    n = graph.n
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    key_s = key[order]
+    uniq, start = np.unique(key_s, return_index=True)
+    sums = np.add.reduceat(w[order], start) if key_s.size else np.array([])
+    return WeightedGraph.from_arrays(n, uniq // n, uniq % n, sums)
+
+
+def relabel(graph, perm):
+    """New graph with vertex i renamed to perm[i]."""
+    p = np.asarray(perm, dtype=np.int64)
+    if sorted(p.tolist()) != list(range(graph.n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    u, v, w = graph.edge_arrays()
+    return WeightedGraph.from_arrays(graph.n, p[u], p[v], w.copy())
+
+
+def msvc_random(graph, seed):
+    """Seeded uniformly random ordering baseline."""
+    rng = np.random.default_rng(seed)
+    ordering = Ordering(tuple(int(x) for x in rng.permutation(graph.n)))
+    return SolveResult(svc_value(graph, ordering), ordering, f"random({seed})")
+
+
+@dataclass
+class SubsetDensityReport:
+    k: int
+    r: float
+    min_density: float
+    witness: tuple
+    mode: str
+    exact: bool
+
+
+def min_subset_density(graph, k, mode="exhaustive", trials=10000, seed=0):
+    """Minimum over k-subsets S of w(S,S) / w(V,V).
+
+    mode="exhaustive" enumerates every subset (budget-guarded); the reported
+    minimum is exact.  mode="sampled" draws seeded random subsets and reports
+    an upper estimate of the true minimum, marked exact=False.
+    """
+    n = graph.n
+    if not 0 <= k <= n:
+        raise ValueError("k out of range")
+    total = graph.total_weight()
+    if total <= 0.0:
+        raise ValueError("graph has no edges")
+    if k == 0:
+        return SubsetDensityReport(0, 0.0, 0.0, (), "exhaustive", True)
+
+    if mode == "exhaustive":
+        if math.comb(n, k) > SUBSET_BUDGET:
+            raise ValueError(
+                f"C({n},{k}) exceeds the exhaustive budget {SUBSET_BUDGET}; "
+                "use mode='sampled'"
+            )
+        if n <= _DENSITY_BITMASK_BITS:
+            table = inside_weight_table(graph)
+            masks = np.arange(1 << n, dtype=np.int64)
+            sel = masks[np.bitwise_count(masks) == k]
+            vals = table[sel]
+            i = int(np.argmin(vals))
+            best_mask = int(sel[i])
+            witness = tuple(b for b in range(n) if best_mask >> b & 1)
+            best = float(vals[i])
+        else:
+            a = graph.weight_matrix()
+            best = math.inf
+            witness = None
+            for comb in combinations(range(n), k):
+                idx = np.asarray(comb)
+                val = float(a[np.ix_(idx, idx)].sum()) / 2.0
+                if val < best:
+                    best, witness = val, comb
+        return SubsetDensityReport(k, k / n, best / total, tuple(witness), "exhaustive", True)
+
+    if mode == "sampled":
+        rng = np.random.default_rng(seed)
+        a = graph.weight_matrix()
+        best = math.inf
+        witness = None
+        for _ in range(trials):
+            idx = rng.permutation(n)[:k]
+            val = float(a[np.ix_(idx, idx)].sum()) / 2.0
+            if val < best:
+                best, witness = val, tuple(sorted(int(x) for x in idx))
+        return SubsetDensityReport(k, k / n, best / total, witness, "sampled", False)
+
+    raise ValueError(f"unknown mode {mode!r}")

@@ -17,7 +17,6 @@ from minsumvc import (
     disjoint_union,
     inside_weight_table,
     load_graph,
-    min_subset_density,
     path_graph,
     random_regular_graph,
     random_weighted_graph,
@@ -25,9 +24,11 @@ from minsumvc import (
     save_graph,
     star_graph,
     svc_value,
-    svc_value_suffix,
     write_graph,
 )
+from minsumvc import graph as graph_module
+
+from _oracles import aggregate_parallel, min_subset_density, relabel, svc_value_suffix
 
 TRIANGLE = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
@@ -81,7 +82,7 @@ def test_svc_relabel_invariance():
         sigma = tuple(int(x) for x in rng.permutation(n))
         relabeled_sigma = Ordering(tuple(perm[v] for v in sigma))
         assert svc_value(g, Ordering(sigma)) == pytest.approx(
-            svc_value(g.relabel(perm), relabeled_sigma), rel=1e-12
+            svc_value(relabel(g, perm), relabeled_sigma), rel=1e-12
         )
 
 
@@ -97,7 +98,7 @@ def test_parallel_edges_kept_and_counted():
     assert g.m == 3
     assert g.total_weight() == 3.5
     assert svc_value(g, Ordering((0, 1))) == 3.5
-    merged = g.aggregate_parallel()
+    merged = aggregate_parallel(g)
     assert merged.m == 1
     assert merged.edges == [(0, 1, 3.5)]
 
@@ -166,6 +167,42 @@ def test_inside_weight_table_against_direct_sum():
             inside = [v for v in range(n) if mask >> v & 1]
             direct = sum(w for u, v, w in g.edges if u in inside and v in inside)
             assert table[mask] == pytest.approx(direct, abs=1e-12)
+
+
+def _inside_weight_table_loop(graph):
+    """The bit-test table build, one pass per later vertex, kept as an oracle."""
+    n = graph.n
+    a = graph.weight_matrix()
+    table = np.zeros(1 << n)
+    for v in range(n - 1, -1, -1):
+        rest = np.arange(0, 1 << (n - v - 1), dtype=np.int64) << (v + 1)
+        cross = np.zeros(rest.size)
+        for u in range(v + 1, n):
+            if a[v, u] != 0.0:
+                cross += a[v, u] * ((rest >> u) & 1)
+        table[rest | (1 << v)] = table[rest] + cross
+    return table
+
+
+def test_inside_weight_table_doubling_matches_bit_test_loop():
+    # the same additions in the same order, so the bits agree exactly
+    graphs = [random_weighted_graph(n, 0.5, n) for n in (2, 5, 12, 15, 18)]
+    graphs += [random_regular_graph(n, 3, n) for n in (12, 16, 18)]
+    graphs.append(WeightedGraph(4, [(0, 3, 0.1), (0, 3, 0.2), (1, 2, 1e-300)]))
+    for g in graphs:
+        table = inside_weight_table(g)
+        assert np.array_equal(table.view(np.uint64), _inside_weight_table_loop(g).view(np.uint64))
+
+
+def test_parallel_map_runs_short_lists_without_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started")
+
+    monkeypatch.setattr(graph_module, "ThreadPoolExecutor", no_pool)
+    assert graph_module._parallel_map(lambda x: 2 * x, []) == []
+    assert graph_module._parallel_map(lambda x: 2 * x, [3]) == [6]
+    with pytest.raises(AssertionError, match="pool started"):
+        graph_module._parallel_map(lambda x: 2 * x, [3, 4])
 
 
 def test_min_subset_density_exhaustive_and_witness():

@@ -74,6 +74,13 @@ def test_single_ratio_matches_closed_form():
         assert single_ratio(rho) == pytest.approx(_single_ratio_oracle(rho), abs=1e-6)
 
 
+def test_single_ratio_matches_copula_quadrature():
+    # pins the Simpson quadrature of the copula diagonal to Sheppard's form
+    for rho in np.linspace(-1.0, 0.0, 21):
+        rho = float(rho)
+        assert abs((3.0 - rho) * copula_diag_integral(rho) - single_ratio(rho)) <= 1e-12
+
+
 def test_single_ratio_peak_location_and_value():
     grid = np.arange(-0.60, -0.40, 0.001)
     vals = [_single_ratio_oracle(float(r)) for r in grid]

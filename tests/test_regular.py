@@ -23,6 +23,47 @@ from minsumvc import (
     two_phase_ratio,
     verify_counterexample,
 )
+from minsumvc import regular
+
+
+def _second_branch(delta, alpha):
+    return (8.0 - 5.0 * alpha + 5.0 * alpha * np.sqrt(delta)) / (3.0 + 12.0 * delta)
+
+
+def _critical_delta_or_none(alpha):
+    a = 60.0 * alpha
+    b = 192.0 - 120.0 * alpha
+    c = -15.0 * alpha
+    u = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    return u * u if u > 0.0 else None
+
+
+def _two_phase_ratio_grid(eps, alpha):
+    """The supremum over delta as a 100,000-point max, kept as an oracle."""
+    greedy_branch = 4.0 / (3.0 + 12.0 * eps)
+    grid = np.linspace(eps * 1e-5, eps, 100_000)
+    sup = float(np.max(_second_branch(grid, alpha)))
+    crit = _critical_delta_or_none(alpha)
+    if crit is not None and crit <= eps:
+        sup = max(sup, float(_second_branch(np.array(crit), alpha)))
+    return max(greedy_branch, sup)
+
+
+def _optimize_two_phase_running_max(alpha, step=1e-5):
+    """(optimal_eps, optimal_ratio, branch_gap) with the sup as a running max."""
+    eps_grid = np.arange(step, 0.25, step)
+    sup = np.maximum.accumulate(_second_branch(eps_grid, alpha))
+    crit = _critical_delta_or_none(alpha)
+    if crit is not None and crit < 0.25:
+        peak = float(_second_branch(np.array(crit), alpha))
+        sup = np.where(eps_grid >= crit, np.maximum(sup, peak), sup)
+    greedy = 4.0 / (3.0 + 12.0 * eps_grid)
+    ratios = np.maximum(greedy, sup)
+    i = int(np.argmin(ratios))
+    gap = abs(float(greedy[i]) - float(sup[i]))
+    if gap > 1e-3:
+        raise AssertionError(f"branches fail to cross at the optimum (gap {gap})")
+    return float(eps_grid[i]), float(ratios[i]), gap
 
 
 def test_ratio_small_eps_follows_greedy_branch():
@@ -78,6 +119,36 @@ def test_ratio_analysis_is_consistent_with_direct_calls():
     # the optimum is a minimum on its grid neighborhood
     for delta in (-0.003, 0.003):
         assert rep.ratio(rep.optimal_eps + delta) >= rep.optimal_ratio - 1e-9
+
+
+def test_ratio_closed_form_sup_equals_grid_oracle():
+    for alpha in (0.9401, 0.9431, 0.85, 0.9, 1.0, 0.5, 0.2):
+        for i in range(250):
+            eps = 1e-5 + 1e-3 * i
+            assert two_phase_ratio(eps, alpha) == _two_phase_ratio_grid(eps, alpha)
+
+
+def test_optimize_closed_form_sup_equals_running_max_oracle():
+    alphas = [float(a) for a in np.linspace(0.8, 1.0, 41)[1:]]
+    for alpha in alphas + [0.8005012531328322, 0.8035087719298246, 0.85, 0.9401, 0.9431]:
+        try:
+            expected = _optimize_two_phase_running_max(alpha)
+        except AssertionError:
+            # a few alphas just above 0.8 miss the crossing on the grid
+            with pytest.raises(AssertionError, match="fail to cross"):
+                optimize_two_phase(alpha)
+            continue
+        rep = optimize_two_phase(alpha)
+        assert (rep.optimal_eps, rep.optimal_ratio, rep.branch_gap) == expected
+
+
+def test_critical_delta_is_the_branch_peak_below_a_quarter():
+    for alpha in np.linspace(0.01, 1.0, 100):
+        crit = regular._interior_critical_delta(float(alpha))
+        assert 0.0 < crit <= 0.0329
+        peak = float(regular._second_branch(crit, alpha))
+        for delta in (crit * 0.999, crit * 1.001):
+            assert float(regular._second_branch(delta, alpha)) <= peak
 
 
 def test_params_validation_and_delta():

@@ -1,5 +1,6 @@
 """Exact DP against brute force, approximation bands, Max-k-VC."""
 
+import math
 import sys
 from itertools import combinations
 
@@ -16,7 +17,6 @@ from minsumvc import (
     msvc_bruteforce,
     msvc_exact_dp,
     msvc_greedy,
-    msvc_random,
     msvc_two_phase,
     path_graph,
     random_regular_graph,
@@ -26,6 +26,8 @@ from minsumvc import (
 )
 from minsumvc import solvers
 from minsumvc.graph import inside_weight_table
+
+from _oracles import msvc_random
 
 
 def _random_dyadic_graph(rng):
@@ -236,6 +238,20 @@ def test_heuristics_within_four_thirds_on_cubic_graphs():
 def test_greedy_deterministic_ties_to_low_id():
     g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     assert tuple(msvc_greedy(g).ordering) == (0, 2, 1, 3)
+
+
+def test_two_phase_defaults_to_local_search_beyond_the_kvc_budget():
+    # C(26, 13) exceeds KVC_BUDGET, so the exact Max-k-VC would refuse
+    g = random_regular_graph(26, 3, 0)
+    assert math.comb(26, 13) > solvers.KVC_BUDGET
+    with pytest.raises(ValueError, match="exact budget"):
+        msvc_two_phase(g, kvc_mode="exact")
+    res = msvc_two_phase(g)
+    assert res == msvc_two_phase(g, kvc_mode="local-search")
+    assert res.value == pytest.approx(svc_value(g, res.ordering), rel=1e-12)
+    # within the budget the default stays exact
+    small = random_regular_graph(12, 3, 0)
+    assert msvc_two_phase(small) == msvc_two_phase(small, kvc_mode="exact")
 
 
 def test_random_solver_is_seed_deterministic():

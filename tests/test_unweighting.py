@@ -13,7 +13,6 @@ from minsumvc import (
     WeightedGraph,
     blow_up,
     complete_graph,
-    min_subset_density,
     msvc_exact_dp,
     path_graph,
     sample_gadget,
@@ -25,6 +24,8 @@ from minsumvc.unweighting import (
     _certified_subset_check,
     _exhaustive_subset_check,
 )
+
+from _oracles import min_subset_density
 
 
 def test_blow_up_single_edge():
