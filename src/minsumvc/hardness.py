@@ -114,8 +114,9 @@ def completeness_profile(rho, gamma=0.0, depth=60, g=12):
         c'(t) = (nu00 + nu01 + nu10) + nu11 * c(2t - 1) - 2*gamma  t > 1/2
 
     starting from the zero profile, clamped to [0, 1] each round, stopping
-    at depth rounds or sup-norm change below 1e-9.  The dyadic grid maps
-    2t and 2t - 1 of grid nodes onto grid nodes exactly.
+    at sup-norm change below 1e-9; raises RuntimeError if depth rounds do
+    not get there.  The dyadic grid maps 2t and 2t - 1 of grid nodes onto
+    grid nodes exactly.
     """
     _check_rho(rho)
     if gamma < 0.0:
@@ -142,6 +143,11 @@ def completeness_profile(rho, gamma=0.0, depth=60, g=12):
         c = new
         if delta < 1e-9:
             break
+    else:
+        raise RuntimeError(
+            f"completeness_profile({rho}) not converged in depth={depth} rounds: "
+            f"last change {delta}"
+        )
     return CoverProfile(c, "completeness-c")
 
 

@@ -192,8 +192,7 @@ def staged_value_formula(params):
     return t * t + 3 * s * t + 5 * s * s / 2 + t + 3 * s / 2
 
 
-def _vertex_cover_number(graph):
-    table = inside_weight_table(graph)
+def _vertex_cover_number(graph, table):
     covering = np.nonzero(table == 0.0)[0]
     return int(graph.n - np.bitwise_count(covering).max())
 
@@ -235,12 +234,13 @@ def verify_counterexample(params):
 
     exact_mode = n <= EXACT_MAX_VERTICES
     if exact_mode:
-        exact = msvc_exact_dp(graph).value
+        table = inside_weight_table(graph)
+        exact = msvc_exact_dp(graph, table=table).value
         if staged < exact - 1e-9:
             raise AssertionError("staged ordering beats the exact optimum")
-        subset = max_kvc(graph, n // 2, mode="exact")
+        subset = max_kvc(graph, n // 2, mode="exact", table=table)
         coverage = covered_weight(graph, subset)
-        vc = _vertex_cover_number(graph)
+        vc = _vertex_cover_number(graph, table)
     else:
         exact = staged
         coverage = float("nan")
@@ -298,10 +298,12 @@ def coverage_bound_check(graph, delta, msvc_value=None):
         raise ValueError("graph is not weighted-regular")
     if n % 2:
         raise ValueError("graph order must be even")
+    table = None
     if msvc_value is None:
         if n > EXACT_MAX_VERTICES:
             raise ValueError(f"exact solve needs n <= {EXACT_MAX_VERTICES}; supply msvc_value")
-        msvc_value = msvc_exact_dp(graph).value
+        table = inside_weight_table(graph)
+        msvc_value = msvc_exact_dp(graph, table=table).value
 
     total = graph.total_weight()
     norm = msvc_value / (n * total)
@@ -317,7 +319,7 @@ def coverage_bound_check(graph, delta, msvc_value=None):
     elif not 0.0 < fitted < 1.0 / 16.0:
         reason = f"fitted delta {fitted:.6f} outside (0, 1/16)"
 
-    subset = max_kvc(graph, n // 2, mode="exact")
+    subset = max_kvc(graph, n // 2, mode="exact", table=table)
     coverage = covered_weight(graph, subset)
     target = (1.0 - math.sqrt(delta)) * total
     return CoverageBoundReport(

@@ -7,11 +7,16 @@ W(S, S) the weight inside S and f(0) = 0,
 
 gives the cover-time sum of steps 1..|S| for the best schedule whose first
 |S| picks are exactly S; the optimum is f(V) plus the step-0 term W(V, V).
-Layer k (the masks with |S| = k, in ascending order) reads only layer k - 1
-and still-infinite layer k + 1 entries and writes its own, so its masks are
-relaxed in DP_CHUNK-sized tasks on one thread per CPU; each mask sees the
-same operations in the same order, so value and ordering do not depend on
-the CPU count.
+f and W are viewed as 2^(n - lo) x 2^lo arrays: rows hold the high mask
+bits, columns the low lo = min(n, _LOW_BITS).  Rows are relaxed in layers
+of high-bit popcount, in tasks of DP_CHUNK >> lo rows on one thread per
+CPU.  A task takes the min over the high bits as whole rows of the layer
+below, then the low bits layer by layer inside its cache-sized block; a
+bit not in S reads a still-inf row or column of the layer above.  The
+ordering is rebuilt from f: from V down, drop the lowest v minimizing
+f(S minus v).  The min is exact, so every f(S) adds the same two operands
+as a per-mask scan, and the rebuild picks the v a strict-< scan keeps:
+value and ordering do not depend on lo, the task size or the CPU count.
 A brute-force enumeration over all n! orderings serves as an independent
 oracle for n <= 8.
 
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -33,8 +38,12 @@ from .graph import Ordering, WeightedGraph, _parallel_map, inside_weight_table, 
 DP_MAX_VERTICES = 24
 BRUTE_MAX_VERTICES = 8
 KVC_BUDGET = 10**7
+# k-subsets scored per array block above DP_MAX_VERTICES
+_KVC_BLOCK = 1 << 15
 # masks per exact-DP task
 DP_CHUNK = 1 << 16
+# low mask bits solved inside one cache-sized row block
+_LOW_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -50,47 +59,59 @@ class SolveResult:
             raise ValueError("svc value must be non-negative")
 
 
-def msvc_exact_dp(graph):
-    """Exact MSVC over all 2^n subsets; n <= 24."""
+def msvc_exact_dp(graph, *, table=None):
+    """Exact MSVC over all 2^n subsets; n <= 24; table = inside_weight_table(graph)."""
     n = graph.n
     if n > DP_MAX_VERTICES:
         raise ValueError(f"exact DP limited to n <= {DP_MAX_VERTICES}, got {n}")
     if n == 0:
         return SolveResult(0.0, Ordering(()), "exact-dp")
+    if table is None:
+        table = inside_weight_table(graph)
 
-    size = 1 << n
-    full = size - 1
-    table = inside_weight_table(graph)
+    lo = min(n, _LOW_BITS)
+    f = np.full((1 << (n - lo), 1 << lo), np.inf)
+    # table[S ^ full] in the same row/column layout
+    comp = table.reshape(f.shape)[::-1, ::-1]
+    col_layers = _popcount_layers(lo)
 
-    f = np.full(size, np.inf)
-    f[0] = 0.0
-    parent = np.zeros(size, dtype=np.int8)
-    pop = np.bitwise_count(np.arange(size, dtype=np.int32))
+    def relax(rows):
+        # high bits: whole rows of the layer below; rows without the bit are inf
+        best = np.full((rows.size, f.shape[1]), np.inf)
+        for v in range(n - lo):
+            np.minimum(best, f[rows ^ (1 << v)], out=best)
+        out = np.full_like(best, np.inf)
+        comp_rows = comp[rows]
+        for j, cols in enumerate(col_layers):
+            cand = best[:, cols]
+            for v in range(lo):
+                # columns without bit v read layer j + 1, still inf
+                np.minimum(cand, out[:, cols ^ (1 << v)], out=cand)
+            out[:, cols] = comp_rows[:, cols] + cand
+            if j == 0 and rows[0] == 0:
+                out[0, 0] = 0.0
+        f[rows] = out
 
-    def relax(masks):
-        best = np.full(masks.size, np.inf)
-        best_v = np.zeros(masks.size, dtype=np.int8)
-        for v in range(n):
-            # a mask without bit v reads a layer k + 1 superset, still inf
-            cand = f[masks ^ (1 << v)]
-            better = cand < best
-            np.copyto(best, cand, where=better)
-            np.copyto(best_v, v, where=better)
-        f[masks] = table[masks ^ full] + best
-        parent[masks] = best_v
+    step = max(1, DP_CHUNK >> lo)
+    for rows in _popcount_layers(n - lo):
+        _parallel_map(relax, np.split(rows, range(step, rows.size, step)))
 
-    for k in range(1, n + 1):
-        masks = np.flatnonzero(pop == k)
-        _parallel_map(relax, np.split(masks, range(DP_CHUNK, masks.size, DP_CHUNK)))
-
+    f = f.ravel()
+    full = (1 << n) - 1
     value = float(f[full] + table[full])
     perm = [0] * n
     mask = full
     for pos in range(n - 1, -1, -1):
-        v = int(parent[mask])
-        perm[pos] = v
-        mask ^= 1 << v
+        # the lowest v reaching the min, as the strict-< scan kept
+        perm[pos] = min((v for v in range(n) if mask >> v & 1), key=lambda v: f[mask ^ (1 << v)])
+        mask ^= 1 << perm[pos]
     return SolveResult(value, Ordering(tuple(perm)), "exact-dp")
+
+
+def _popcount_layers(bits):
+    """The integers below 2^bits grouped by popcount, each group ascending."""
+    pop = np.bitwise_count(np.arange(1 << bits))
+    return [np.flatnonzero(pop == k) for k in range(bits + 1)]
 
 
 def msvc_bruteforce(graph):
@@ -127,10 +148,11 @@ def covered_weight(graph, subset):
     return float(w[mark[u] | mark[v]].sum())
 
 
-def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
+def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
     """A k-subset maximizing covered edge weight.
 
-    mode="exact" enumerates subsets (budget C(n,k) <= 10^7 enforced) and
+    mode="exact" enumerates subsets (budget C(n,k) <= 10^7 enforced), by
+    table = inside_weight_table(graph) while n <= DP_MAX_VERTICES, and
     returns a true maximizer; mode="local-search" runs steepest-swap hill
     climbing from seeded random starts.  Returns a sorted vertex tuple.
 
@@ -151,7 +173,8 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
         if math.comb(n, k) > KVC_BUDGET:
             raise ValueError(f"C({n},{k}) exceeds the exact budget {KVC_BUDGET}")
         if n <= DP_MAX_VERTICES:
-            table = inside_weight_table(graph)
+            if table is None:
+                table = inside_weight_table(graph)
             pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
             masks = np.flatnonzero(pop == k)
             # covered(S) = total - W(S^c, S^c)
@@ -161,13 +184,15 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
             return tuple(b for b in range(n) if best >> b & 1)
         a = graph.weight_matrix()
         row = a.sum(axis=1)
+        combos = combinations(range(n), k)
         best_val, best_set = -1.0, None
-        for comb in combinations(range(n), k):
-            idx = np.asarray(comb)
-            cov = float(row[idx].sum()) - float(a[np.ix_(idx, idx)].sum()) / 2.0
-            if cov > best_val + 1e-15:
-                best_val, best_set = cov, comb
-        return tuple(best_set)
+        while (c := np.fromiter(islice(combos, _KVC_BLOCK), dtype=(np.intp, k))).size:
+            cov = row[c].sum(axis=1) - a[c[:, :, None], c[:, None, :]].sum(axis=(1, 2)) / 2.0
+            # in order, a subset replaces the best when it covers over 1e-15 more
+            for i in np.flatnonzero(cov > best_val + 1e-15):
+                if cov[i] > best_val + 1e-15:
+                    best_val, best_set = cov[i], c[i]
+        return tuple(int(v) for v in best_set)
 
     if mode == "local-search":
         rng = np.random.default_rng(seed)

@@ -127,3 +127,53 @@ def min_subset_density(graph, k, mode="exhaustive", trials=10000, seed=0):
         return SubsetDensityReport(k, k / n, best / total, witness, "sampled", False)
 
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def msvc_exact_dp_layered(graph):
+    """The subset DP by popcount layers of whole masks, with a parent array: (value, perm).
+
+    Each mask takes the first v, in ascending order, whose f(S minus v) is
+    strictly lower than all before it.
+    """
+    n = graph.n
+    size = 1 << n
+    full = size - 1
+    table = inside_weight_table(graph)
+    f = np.full(size, np.inf)
+    f[0] = 0.0
+    parent = np.zeros(size, dtype=np.int8)
+    pop = np.bitwise_count(np.arange(size, dtype=np.int32))
+    for k in range(1, n + 1):
+        masks = np.flatnonzero(pop == k)
+        best = np.full(masks.size, np.inf)
+        best_v = np.zeros(masks.size, dtype=np.int8)
+        for v in range(n):
+            # a mask without bit v reads a layer k + 1 superset, still inf
+            cand = f[masks ^ (1 << v)]
+            better = cand < best
+            np.copyto(best, cand, where=better)
+            np.copyto(best_v, v, where=better)
+        f[masks] = table[masks ^ full] + best
+        parent[masks] = best_v
+    perm = [0] * n
+    mask = full
+    for pos in range(n - 1, -1, -1):
+        perm[pos] = int(parent[mask])
+        mask ^= 1 << perm[pos]
+    return float(f[full] + table[full]), tuple(perm)
+
+
+def max_kvc_loop(graph, k):
+    """Max-k-VC by one gather per k-combination, in lexicographic order.
+
+    A combination replaces the best so far when it covers over 1e-15 more.
+    """
+    a = graph.weight_matrix()
+    row = a.sum(axis=1)
+    best_val, best_set = -1.0, None
+    for comb in combinations(range(graph.n), k):
+        idx = np.asarray(comb)
+        cov = float(row[idx].sum()) - float(a[np.ix_(idx, idx)].sum()) / 2.0
+        if cov > best_val + 1e-15:
+            best_val, best_set = cov, comb
+    return tuple(best_set)

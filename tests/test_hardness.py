@@ -154,6 +154,11 @@ def test_completeness_profile_is_monotone_and_bounded():
         completeness_profile(-0.5, depth=0)
 
 
+def test_completeness_profile_raises_when_depth_ends_unconverged():
+    with pytest.raises(RuntimeError, match="depth=2"):
+        completeness_profile(-0.5, depth=2)
+
+
 def test_soundness_profile_area_is_diagonal_integral():
     # integral of (1 - s(t)) dt with s(t) = 1 - C(1-t, 1-t) is the diagonal mass
     for rho in (-0.75, -0.52, -0.2):

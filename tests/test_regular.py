@@ -14,6 +14,7 @@ from minsumvc import (
     complete_graph,
     counterexample_graph,
     coverage_bound_check,
+    inside_weight_table,
     msvc_exact_dp,
     optimize_two_phase,
     staged_ordering,
@@ -23,7 +24,7 @@ from minsumvc import (
     two_phase_ratio,
     verify_counterexample,
 )
-from minsumvc import regular
+from minsumvc import regular, solvers
 
 
 def _second_branch(delta, alpha):
@@ -255,6 +256,30 @@ def test_vertex_cover_number_of_blocks():
         if params.n <= 16:
             rep = verify_counterexample(params)
             assert rep.vertex_cover_number == params.t + 2 * params.s
+
+
+def test_counterexample_checks_build_one_table(monkeypatch):
+    params = CounterexampleParams.from_fraction(1, 8)
+    graph = counterexample_graph(params)
+    # unshared: each solver builds its own table
+    monkeypatch.setattr(regular, "msvc_exact_dp", lambda g, table=None: solvers.msvc_exact_dp(g))
+    monkeypatch.setattr(regular, "max_kvc", lambda g, k, mode, table=None: solvers.max_kvc(g, k, mode))
+    unshared = verify_counterexample(params), coverage_bound_check(graph, params.delta)
+    monkeypatch.undo()
+
+    calls = []
+
+    def counting_table(g):
+        calls.append(g.n)
+        return inside_weight_table(g)
+
+    monkeypatch.setattr(regular, "inside_weight_table", counting_table)
+    monkeypatch.setattr(solvers, "inside_weight_table", counting_table)
+    assert verify_counterexample(params) == unshared[0]
+    assert calls == [params.n]
+    calls.clear()
+    assert coverage_bound_check(graph, params.delta) == unshared[1]
+    assert calls == [params.n]
 
 
 def test_coverage_bound_applicable_on_counterexample():

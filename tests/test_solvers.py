@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 from minsumvc import (
+    CounterexampleParams,
     Ordering,
     SolveResult,
     WeightedGraph,
+    complete_bipartite,
     complete_graph,
+    counterexample_graph,
     covered_weight,
+    cycle_graph,
+    disjoint_union,
     max_kvc,
     msvc_bruteforce,
     msvc_exact_dp,
@@ -27,7 +32,7 @@ from minsumvc import (
 from minsumvc import solvers
 from minsumvc.graph import inside_weight_table
 
-from _oracles import msvc_random
+from _oracles import max_kvc_loop, msvc_exact_dp_layered, msvc_random
 
 
 def _random_dyadic_graph(rng):
@@ -142,6 +147,55 @@ def test_dp_layer_chunks_match_reference_serial_or_oversubscribed(monkeypatch, w
             assert (res.value, res.ordering.perm) == _dp_reference(g)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _tie_heavy_graphs():
+    rng = np.random.default_rng(17)
+    dyadic = [
+        WeightedGraph.from_arrays(g.n, *g.edge_arrays()[:2], rng.integers(1, 257, g.m) / 64.0)
+        for g in (random_weighted_graph(9, 0.5, 3), random_regular_graph(12, 3, 4))
+    ]
+    return [
+        complete_graph(7),
+        star_graph(8),
+        cycle_graph(11),
+        complete_bipartite(4, 5),
+        disjoint_union([complete_graph(3), cycle_graph(4), complete_bipartite(2, 2)]),
+        disjoint_union([star_graph(3), star_graph(3), complete_graph(4)]),
+        counterexample_graph(CounterexampleParams.from_fraction(1, 10)),
+        *dyadic,
+    ]
+
+
+def test_dp_blocks_match_reference_at_every_split(monkeypatch):
+    # every low/high split, one row per task, on graphs with many tied optima
+    for g in _tie_heavy_graphs():
+        expected = _dp_reference(g)
+        for lo in range(1, g.n + 1):
+            monkeypatch.setattr(solvers, "_LOW_BITS", lo)
+            monkeypatch.setattr(solvers, "DP_CHUNK", 1 << lo)
+            res = msvc_exact_dp(g)
+            assert (res.value, res.ordering.perm) == expected, (g.n, lo)
+
+
+def test_dp_matches_layered_dp_on_a_cubic_graph():
+    g = random_regular_graph(20, 3, 5)
+    res = msvc_exact_dp(g)
+    assert (res.value, res.ordering.perm) == msvc_exact_dp_layered(g)
+
+
+def test_max_kvc_blocks_match_the_per_subset_loop(monkeypatch):
+    # the enumeration beyond the table limit; float weights, then unit
+    # weights where many subsets tie
+    monkeypatch.setattr(solvers, "DP_MAX_VERTICES", 0)
+    monkeypatch.setattr(solvers, "_KVC_BLOCK", 1000)
+    for n in (14, 16, 18):
+        for g in (random_weighted_graph(n, 0.4, n), random_regular_graph(n, 3, n)):
+            for k in (3, n // 2):
+                assert max_kvc(g, k, mode="exact") == max_kvc_loop(g, k), (n, k)
+    # vertex 1 covers 0.1 + 0.2, above vertex 0's 0.3 by under 1e-15: vertex 0 stays
+    g = WeightedGraph(5, [(0, 4, 0.3), (1, 2, 0.1), (1, 3, 0.2)])
+    assert max_kvc(g, 1, mode="exact") == max_kvc_loop(g, 1) == (0,)
 
 
 def test_local_search_matches_recompute_reference():
