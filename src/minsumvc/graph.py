@@ -23,13 +23,15 @@ Text format (LF line endings, 0-based vertex ids)::
 The record reader and writer in this module serve all four text
 formats (graph, unique games, labels, hardness config): blank lines after
 the header are skipped, row counts must match exactly, and errors name the
-line of the file.
+line of the file.  Files are read and written as bytes: a CRLF line end is
+accepted, a bare CR ends no line, and a non-ASCII byte is an error.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -256,38 +258,51 @@ class _RecordFormat(NamedTuple):
     float_text: Callable = repr
 
 
-def _read_records(text, fmt):
-    """Parse text in format fmt and return fmt.build(header, fields).
+# An ASCII byte that str.strip() keeps: all but \t-\r, \x1c-\x1f and space.
+# np.loadtxt skips the same lines as blank.
+_NONBLANK = re.compile(rb"[^\t-\r\x1c- ]")
+
+# Table rows per chunk written: a few MB of text at a time.
+_CHUNK_ROWS = 1 << 16
+
+
+def _read_records(data, fmt):
+    """Parse data (bytes; str is encoded) in format fmt; return fmt.build(header, fields).
 
     Line 1 is the magic line and line 2 the header.  Blank lines after them
     are skipped and the row count must match exactly.  Numbers are read by
-    np.loadtxt.  Errors are fmt.error; those about a line name it.
+    np.loadtxt, which takes the body straight from data.  Errors are
+    fmt.error; those about a line name it, a non-ASCII byte included.
     """
+    if isinstance(data, str):
+        data = data.encode(errors="replace")
 
-    def parse(chunk, dtype):
-        data = io.BytesIO(chunk.encode())
-        return np.loadtxt(data, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
+    def parse(chunk, dtype, start=0):
+        stream = io.BytesIO(chunk)
+        stream.seek(start)
+        return np.loadtxt(stream, dtype=dtype, comments=None, ndmin=1, encoding="ascii")
 
-    lines = text.split("\n", 2)
-    if lines[0].strip() != fmt.magic:
+    # ends of lines 1 and 2 (len(data) when missing); the body is not split
+    first = data.find(b"\n") % (len(data) + 1)
+    second = data.find(b"\n", first + 1) % (len(data) + 1)
+    if data[:first].decode("ascii", "replace").strip() != fmt.magic:
         raise fmt.error(f"line 1: expected header {fmt.magic!r}")
-    head = lines[1] if len(lines) > 1 else ""
+    head, start = data[first + 1 : second], second + 1
     try:
-        header = parse(head, np.int64).tolist() if head.split() else []
+        header = parse(head, np.int64).tolist() if _NONBLANK.search(head) else []
     except ValueError:
         header = []
     if len(header) != len(fmt.header) or min(header) < 0:
         raise fmt.error(f"line 2: expected {' '.join(fmt.header)!r}, nonnegative integers")
-    body = lines[2] if len(lines) > 2 else ""
 
     def numbered():
         """(line number, line) of each nonblank line after the header."""
-        return [(i, ln) for i, ln in enumerate(body.split("\n"), start=3) if ln.strip()]
+        return [(i, ln) for i, ln in enumerate(data[start:].split(b"\n"), start=3) if _NONBLANK.search(ln)]
 
     def fail(row, reason):
         """Raise for the given row; a row past the last names the line after the text."""
-        found, last = numbered(), body.split("\n")
-        number = found[row][0] if row < len(found) else 2 + len(last) + (last[-1] != "")
+        found, last = numbered(), data[start:].split(b"\n")
+        number = found[row][0] if row < len(found) else 2 + len(last) + (last[-1] != b"")
         raise fmt.error(f"line {number}: {reason}")
 
     if fmt.columns is None:
@@ -303,7 +318,7 @@ def _read_records(text, fmt):
     else:
         count = header[-1]
         try:
-            table = parse(body, fmt.columns) if body and not body.isspace() else np.empty(0, fmt.columns)
+            table = parse(data, fmt.columns, start) if _NONBLANK.search(data, start) else np.empty(0, fmt.columns)
         except ValueError:
             # loadtxt's messages do not name the line: bisect for the
             # first row it rejects, parsing about as much text again
@@ -312,7 +327,7 @@ def _read_records(text, fmt):
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 try:
-                    parse("\n".join(rows[lo:mid]), fmt.columns)
+                    parse(b"\n".join(rows[lo:mid]), fmt.columns)
                     lo = mid
                 except ValueError:
                     hi = mid
@@ -333,19 +348,45 @@ def _read_records(text, fmt):
 
 
 def _write_records(fmt, header, fields):
-    """The text of format fmt; fields are a table's columns or the rows.
+    """Yield the bytes of format fmt in chunks; fields are a table's columns or the rows.
 
-    Each distinct value of a field is formatted once.
+    Each distinct value of a table field is formatted once, into a table of
+    NUL-padded cells.  A chunk of _CHUNK_ROWS rows gathers its cells and
+    separators into one byte matrix and drops the NULs.
     """
-    texts = []
+    yield f"{fmt.magic}\n{' '.join(map(str, header))}\n".encode()
+    if fmt.columns is None:
+        for values in fields:
+            yield (" ".join(map(str, values)) + "\n").encode()
+        return
+    cells = []
     for values in map(np.asarray, fields):
         to_text = str if values.dtype.kind == "i" else fmt.float_text
         # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
         keys, index = np.unique(values.view(np.uint64), return_inverse=True)
-        names = [to_text(x) for x in keys.view(values.dtype).tolist()]
-        texts.append(np.array(names, dtype=object)[index])
-    rows = zip(*texts) if fmt.columns is not None else texts
-    return "\n".join([fmt.magic, " ".join(map(str, header)), *map(" ".join, rows)]) + "\n"
+        table = np.array([to_text(x) for x in keys.view(values.dtype).tolist()], dtype=bytes)
+        cells.append((table.view(np.uint8).reshape(keys.size, table.itemsize), index))
+    ends = np.cumsum([table.shape[1] + 1 for table, _ in cells])
+    rows = len(cells[0][1])
+    for lo in range(0, rows, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, rows)
+        chunk = np.full((hi - lo, ends[-1]), ord(" "), np.uint8)
+        chunk[:, -1] = ord("\n")
+        for (table, index), end in zip(cells, ends):
+            chunk[:, end - 1 - table.shape[1] : end - 1] = table[index[lo:hi]]
+        yield chunk[chunk != 0].tobytes()
+
+
+def _load_records(path, parse):
+    """parse(the bytes of the file at path), read in one call."""
+    with open(path, "rb") as fh:
+        return parse(fh.read())
+
+
+def _save_records(path, chunks):
+    """Write the chunks of _write_records to path, one at a time."""
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 _GRAPH_FORMAT = _RecordFormat(
@@ -361,22 +402,20 @@ _GRAPH_FORMAT = _RecordFormat(
 
 def write_graph(graph):
     """Serialize to the documented text format."""
-    return _write_records(_GRAPH_FORMAT, (graph.n, graph.m), graph.edge_arrays())
+    return b"".join(_write_records(_GRAPH_FORMAT, (graph.n, graph.m), graph.edge_arrays())).decode()
 
 
 def read_graph(text):
-    """Parse the documented text format; errors name the 1-based line."""
+    """Parse the documented text format (str or bytes); errors name the 1-based line."""
     return _read_records(text, _GRAPH_FORMAT)
 
 
 def load_graph(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return read_graph(fh.read())
+    return _load_records(path, read_graph)
 
 
 def save_graph(graph, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(write_graph(graph))
+    _save_records(path, _write_records(_GRAPH_FORMAT, (graph.n, graph.m), graph.edge_arrays()))
 
 
 # ---------------------------------------------------------------------------

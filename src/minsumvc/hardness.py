@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .gaussian import copula_diag_grid
-from .graph import _parallel_map, _RecordFormat, _read_records, _write_records
+from .graph import _load_records, _parallel_map, _read_records, _RecordFormat, _save_records, _write_records
 
 CONFIG_MAGIC = "msvc-hardness 1"
 
@@ -204,18 +204,20 @@ def parse_hardness_config(text):
     return _read_records(text, _CONFIG_FORMAT)
 
 
-def format_hardness_config(cfg):
+def _config_records(cfg):
     return _write_records(_CONFIG_FORMAT, (cfg.k,), (cfg.alphas, cfg.rhos))
 
 
+def format_hardness_config(cfg):
+    return b"".join(_config_records(cfg)).decode()
+
+
 def load_hardness_config(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_hardness_config(fh.read())
+    return _load_records(path, parse_hardness_config)
 
 
 def save_hardness_config(cfg, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_hardness_config(cfg))
+    _save_records(path, _config_records(cfg))
 
 
 def figure1_config():

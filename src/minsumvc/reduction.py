@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph, _first_problem, _RecordFormat, _read_records, _write_records
+from .graph import Ordering, WeightedGraph, _first_problem
+from .graph import _load_records, _read_records, _RecordFormat, _save_records, _write_records
 
 UG_MAGIC = "msvc-ug 1"
 LABELS_MAGIC = "msvc-labels 1"
@@ -356,37 +357,41 @@ def parse_ug(text):
     return _read_records(text, _UG_FORMAT)
 
 
-def format_ug(instance):
+def _ug_records(instance):
     header = (instance.alphabet, instance.u_count, instance.v_count, instance.m)
     return _write_records(_UG_FORMAT, header, np.array(instance.edges, dtype=np.int64).reshape(-1, 3).T)
 
 
+def format_ug(instance):
+    return b"".join(_ug_records(instance)).decode()
+
+
 def load_ug(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_ug(fh.read())
+    return _load_records(path, parse_ug)
 
 
 def save_ug(instance, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_ug(instance))
+    _save_records(path, _ug_records(instance))
 
 
 def parse_labels(text):
     return _read_records(text, _LABELS_FORMAT)
 
 
-def format_labels(labeling, u_count=None, v_count=None):
+def _labels_records(labeling, u_count=None, v_count=None):
     u_count = len(labeling.u_labels) if u_count is None else u_count
     v_count = len(labeling.v_labels) if v_count is None else v_count
     header = (labeling.alphabet, u_count, v_count)
     return _write_records(_LABELS_FORMAT, header, (labeling.u_labels, labeling.v_labels))
 
 
+def format_labels(labeling, u_count=None, v_count=None):
+    return b"".join(_labels_records(labeling, u_count, v_count)).decode()
+
+
 def load_labels(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_labels(fh.read())
+    return _load_records(path, parse_labels)
 
 
 def save_labels(labeling, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_labels(labeling))
+    _save_records(path, _labels_records(labeling))

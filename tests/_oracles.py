@@ -4,6 +4,7 @@ Not a test module (pytest collects only test_*.py); the tests import it by
 name from this directory.
 """
 
+import io
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -177,3 +178,106 @@ def max_kvc_loop(graph, k):
         if cov > best_val + 1e-15:
             best_val, best_set = cov, comb
     return tuple(best_set)
+
+
+# The str record codec that the byte codec in minsumvc.graph replaced: a
+# whole-text writer and a reader of decoded, split text.
+
+
+def read_records_text(text, fmt):
+    """Parse str text in format fmt and return fmt.build(header, fields).
+
+    Line 1 is the magic line and line 2 the header.  Blank lines after them
+    are skipped and the row count must match exactly.  Numbers are read by
+    np.loadtxt.  Errors are fmt.error; those about a line name it.
+    """
+
+    def parse(chunk, dtype):
+        data = io.BytesIO(chunk.encode())
+        return np.loadtxt(data, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
+
+    lines = text.split("\n", 2)
+    if lines[0].strip() != fmt.magic:
+        raise fmt.error(f"line 1: expected header {fmt.magic!r}")
+    head = lines[1] if len(lines) > 1 else ""
+    try:
+        header = parse(head, np.int64).tolist() if head.split() else []
+    except ValueError:
+        header = []
+    if len(header) != len(fmt.header) or min(header) < 0:
+        raise fmt.error(f"line 2: expected {' '.join(fmt.header)!r}, nonnegative integers")
+    body = lines[2] if len(lines) > 2 else ""
+
+    def numbered():
+        """(line number, line) of each nonblank line after the header."""
+        return [(i, ln) for i, ln in enumerate(body.split("\n"), start=3) if ln.strip()]
+
+    def fail(row, reason):
+        """Raise for the given row; a row past the last names the line after the text."""
+        found, last = numbered(), body.split("\n")
+        number = found[row][0] if row < len(found) else 2 + len(last) + (last[-1] != "")
+        raise fmt.error(f"line {number}: {reason}")
+
+    if fmt.columns is None:
+        count, fields = len(header) - 1, []
+        for row, ((_, line), size) in enumerate(zip(numbered(), header[1:])):
+            try:
+                fields.append(parse(line, np.int64))
+            except ValueError:
+                fail(row, f"expected {size} integers")
+            if fields[-1].size != size:
+                fail(row, f"expected {size} integers")
+        found = len(numbered())
+    else:
+        count = header[-1]
+        try:
+            table = parse(body, fmt.columns) if body and not body.isspace() else np.empty(0, fmt.columns)
+        except ValueError:
+            # loadtxt's messages do not name the line: bisect for the
+            # first row it rejects, parsing about as much text again
+            rows = [ln for _, ln in numbered()]
+            lo, hi = 0, len(rows)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    parse("\n".join(rows[lo:mid]), fmt.columns)
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            if lo < count:
+                fail(lo, f"expected {' '.join(fmt.columns.names)!r}")
+            fail(count, f"expected {count} rows")
+        found = table.size
+        fields = [np.ascontiguousarray(table[name]) for name in fmt.columns.names]
+    if found != count:
+        fail(count, f"expected {count} rows")
+    problem = fmt.check and fmt.check(header, fields)
+    if problem:
+        fail(*problem)
+    try:
+        return fmt.build(header, fields)
+    except ValueError as exc:
+        raise fmt.error(str(exc)) from None
+
+
+def write_records_text(fmt, header, fields):
+    """The text of format fmt as one str; fields are a table's columns or the rows.
+
+    Each distinct value of a field is formatted once, then every row is
+    joined from an object array of those texts.
+    """
+    texts = []
+    for values in map(np.asarray, fields):
+        to_text = str if values.dtype.kind == "i" else fmt.float_text
+        # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
+        keys, index = np.unique(values.view(np.uint64), return_inverse=True)
+        names = [to_text(x) for x in keys.view(values.dtype).tolist()]
+        texts.append(np.array(names, dtype=object)[index])
+    rows = zip(*texts) if fmt.columns is not None else texts
+    return "\n".join([fmt.magic, " ".join(map(str, header)), *map(" ".join, rows)]) + "\n"
+
+
+def load_records_text(path, fmt):
+    """read_records_text of the file at path, opened in text mode."""
+    with open(path, "r", encoding="ascii") as fh:
+        return read_records_text(fh.read(), fmt)
