@@ -216,7 +216,9 @@ def svc_value(graph, ordering):
 def inside_weight_table(graph):
     """table[mask] = total weight of edges with both endpoints in mask.
 
-    Size 2^n; refuses for n above the bitmask limit.
+    Size 2^n, and no other array of that order: each vertex's sums are
+    built in the table's own still-zero slots.  Refuses for n above the
+    bitmask limit.
     """
     n = graph.n
     if n > _TABLE_MAX_BITS:
@@ -224,13 +226,14 @@ def inside_weight_table(graph):
     a = graph.weight_matrix()
     table = np.zeros(1 << n)
     for v in range(n - 1, -1, -1):
-        # cross[i] = weight from v into the set i << (v + 1), summed by
-        # doubling: the sets with top bit j add a[v, v + 1 + j] to those without
-        cross = np.zeros(1 << (n - v - 1))
+        # the masks with lowest bit v, still zero; cross[i] = weight from v
+        # into the set i << (v + 1), summed by doubling: the sets with top
+        # bit j add a[v, v + 1 + j] to those without
+        cross = table[1 << v :: 2 << v]
         for j in range(n - v - 1):
-            cross[1 << j : 2 << j] = cross[: 1 << j] + a[v, v + 1 + j]
-        # masks with lowest bit v from those with no bit at or below v
-        table[1 << v :: 2 << v] = table[:: 2 << v] + cross
+            np.add(cross[: 1 << j], a[v, v + 1 + j], out=cross[1 << j : 2 << j])
+        # plus the weight inside the rest, from the masks with no bit at or below v
+        np.add(table[:: 2 << v], cross, out=cross)
     return table
 
 

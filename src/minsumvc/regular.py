@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Ordering, WeightedGraph, inside_weight_table, svc_value
-from .solvers import covered_weight, max_kvc, msvc_exact_dp
+from .solvers import DP_MAX_VERTICES, covered_weight, max_kvc, msvc_exact_dp
 
 # best published guarantee for Max-2-Sat subject to a bisection constraint
 ALPHA_MAX2SAT_BISECTION = 0.9401
@@ -34,7 +34,6 @@ ALPHA_MAX2SAT_BISECTION = 0.9401
 ALPHA_BISECTION_LIMIT = 0.9431
 
 RATIO_GRID_STEP = 1e-5
-EXACT_MAX_VERTICES = 24
 
 
 def _second_branch(delta, alpha):
@@ -221,8 +220,8 @@ def verify_counterexample(params):
     """Build the graph and check the staged, exact, and coverage claims.
 
     The exact branch (dynamic program plus exhaustive half-cover search)
-    runs when n <= 24; beyond that the staged simulation and the closed
-    forms are reported with exact_mode False.
+    runs when n <= DP_MAX_VERTICES (24); beyond that the staged simulation
+    and the closed forms are reported with exact_mode False.
     """
     graph = counterexample_graph(params)
     n, m = graph.n, graph.m
@@ -232,7 +231,7 @@ def verify_counterexample(params):
     if abs(staged - formula) > 1e-9:
         raise AssertionError(f"staged simulation {staged} disagrees with formula {formula}")
 
-    exact_mode = n <= EXACT_MAX_VERTICES
+    exact_mode = n <= DP_MAX_VERTICES
     if exact_mode:
         table = inside_weight_table(graph)
         exact = msvc_exact_dp(graph, table=table).value
@@ -300,8 +299,8 @@ def coverage_bound_check(graph, delta, msvc_value=None):
         raise ValueError("graph order must be even")
     table = None
     if msvc_value is None:
-        if n > EXACT_MAX_VERTICES:
-            raise ValueError(f"exact solve needs n <= {EXACT_MAX_VERTICES}; supply msvc_value")
+        if n > DP_MAX_VERTICES:
+            raise ValueError(f"exact solve needs n <= {DP_MAX_VERTICES}; supply msvc_value")
         table = inside_weight_table(graph)
         msvc_value = msvc_exact_dp(graph, table=table).value
 

@@ -7,18 +7,23 @@ W(S, S) the weight inside S and f(0) = 0,
 
 gives the cover-time sum of steps 1..|S| for the best schedule whose first
 |S| picks are exactly S; the optimum is f(V) plus the step-0 term W(V, V).
-f and W are viewed as 2^(n - lo) x 2^lo arrays: rows hold the high mask
+The DP holds one 2^n array: f(S) overwrites W(S^c, S^c) in the
+inside-weight table, a slot only f(S) reads, once W(V, V) is saved.  The
+table is viewed as 2^(n - lo) x 2^lo in reversed row/column order, so that
+f(S) sits at row S >> lo, column S & (2^lo - 1): rows hold the high mask
 bits, columns the low lo = min(n, _LOW_BITS).  Rows are relaxed in layers
 of high-bit popcount, in tasks of DP_CHUNK >> lo rows on one thread per
 CPU.  A task takes the min over the high bits as whole rows of the layer
-below, then the low bits layer by layer inside its cache-sized block; a
-bit not in S reads a still-inf row or column of the layer above.  The
-ordering is rebuilt from f: from V down, drop the lowest v minimizing
-f(S minus v).  The min is exact, so every f(S) adds the same two operands
-as a per-mask scan, and the rebuild picks the v a strict-< scan keeps:
-value and ordering do not depend on lo, the task size or the CPU count.
-A brute-force enumeration over all n! orderings serves as an independent
-oracle for n <= 8.
+below, only for the rows holding the bit (the layer above still holds W),
+then the low bits layer by layer inside its cache-sized block, where a bit
+not in S reads a still-inf column of the layer above.  The ordering is
+rebuilt from f: from V down, drop the lowest v minimizing f(S minus v).
+The min is exact, so every f(S) adds the same two operands as a per-mask
+scan, and the rebuild picks the v a strict-< scan keeps: value and
+ordering do not depend on lo, the task size or the CPU count.  Exact
+Max-k-VC scans the same table in the same layout.  A brute-force
+enumeration over all n! orderings serves as an independent oracle for
+n <= 8.
 
 Approximate solvers: greedy by uncovered incident weight and a two-phase
 schedule built around an exact or local-search Max-k-VC subset at
@@ -60,28 +65,33 @@ class SolveResult:
 
 
 def msvc_exact_dp(graph, *, table=None):
-    """Exact MSVC over all 2^n subsets; n <= 24; table = inside_weight_table(graph)."""
+    """Exact MSVC over all 2^n subsets; n <= 24.
+
+    A given table = inside_weight_table(graph) is copied, never changed.
+    """
     n = graph.n
     if n > DP_MAX_VERTICES:
         raise ValueError(f"exact DP limited to n <= {DP_MAX_VERTICES}, got {n}")
     if n == 0:
         return SolveResult(0.0, Ordering(()), "exact-dp")
-    if table is None:
-        table = inside_weight_table(graph)
+    table = inside_weight_table(graph) if table is None else table.copy()
 
+    full = (1 << n) - 1
+    inside_all = table[full]  # W(V, V), in the slot of f(0)
     lo = min(n, _LOW_BITS)
-    f = np.full((1 << (n - lo), 1 << lo), np.inf)
-    # table[S ^ full] in the same row/column layout
-    comp = table.reshape(f.shape)[::-1, ::-1]
+    # f(S) overwrites W(S^c, S^c) = table[S ^ full], which only f(S) reads
+    f = table.reshape(1 << (n - lo), 1 << lo)[::-1, ::-1]
     col_layers = _popcount_layers(lo)
 
     def relax(rows):
-        # high bits: whole rows of the layer below; rows without the bit are inf
+        # high bits: whole rows of the layer below; rows without the bit
+        # would read the layer above, which still holds W
         best = np.full((rows.size, f.shape[1]), np.inf)
         for v in range(n - lo):
-            np.minimum(best, f[rows ^ (1 << v)], out=best)
+            has = (rows >> v & 1).astype(bool)[:, None]
+            np.minimum(best, f[rows ^ (1 << v)], out=best, where=has)
         out = np.full_like(best, np.inf)
-        comp_rows = comp[rows]
+        comp_rows = f[rows]  # still W(S^c, S^c)
         for j, cols in enumerate(col_layers):
             cand = best[:, cols]
             for v in range(lo):
@@ -96,9 +106,8 @@ def msvc_exact_dp(graph, *, table=None):
     for rows in _popcount_layers(n - lo):
         _parallel_map(relax, np.split(rows, range(step, rows.size, step)))
 
-    f = f.ravel()
-    full = (1 << n) - 1
-    value = float(f[full] + table[full])
+    f = table[::-1]  # f[S], flat
+    value = float(f[full] + inside_all)
     perm = [0] * n
     mask = full
     for pos in range(n - 1, -1, -1):
@@ -175,13 +184,7 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
         if n <= DP_MAX_VERTICES:
             if table is None:
                 table = inside_weight_table(graph)
-            pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
-            masks = np.flatnonzero(pop == k)
-            # covered(S) = total - W(S^c, S^c)
-            vals = table[masks ^ ((1 << n) - 1)]
-            i = int(np.argmin(vals))
-            best = int(masks[i])
-            return tuple(b for b in range(n) if best >> b & 1)
+            return _max_kvc_table(table, n, k)
         a = graph.weight_matrix()
         row = a.sum(axis=1)
         combos = combinations(range(n), k)
@@ -220,6 +223,27 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
         return best_set
 
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _max_kvc_table(table, n, k):
+    """The least k-set S minimizing W(S^c, S^c) = total - covered(S).
+
+    One block per high-bit popcount c in the DP's layout (high layer c x low
+    layer k - c), each in ascending mask order: the least (W, mask) of the
+    blocks' first minima is the first minimum over all k-sets ascending.
+    """
+    lo = min(n, _LOW_BITS)
+    comp = table.reshape(1 << (n - lo), 1 << lo)[::-1, ::-1]
+    row_layers, col_layers = _popcount_layers(n - lo), _popcount_layers(lo)
+    best = None
+    for c in range(max(0, k - lo), min(k, n - lo) + 1):
+        rows, cols = row_layers[c], col_layers[k - c]
+        block = comp[np.ix_(rows, cols)]
+        i, j = divmod(int(np.argmin(block)), cols.size)
+        cand = (block[i, j], int(rows[i]) << lo | int(cols[j]))
+        if best is None or cand < best:
+            best = cand
+    return tuple(b for b in range(n) if best[1] >> b & 1)
 
 
 def msvc_two_phase(graph, kvc_mode=None, restarts=10, seed=0):

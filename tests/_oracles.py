@@ -180,6 +180,17 @@ def max_kvc_loop(graph, k):
     return tuple(best_set)
 
 
+def max_kvc_masks(graph, k):
+    """Max-k-VC by the first argmin of W(S^c, S^c) over all k-set masks, ascending."""
+    n = graph.n
+    table = inside_weight_table(graph)
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
+    masks = np.flatnonzero(pop == k)
+    # covered(S) = total - W(S^c, S^c)
+    best = int(masks[int(np.argmin(table[masks ^ ((1 << n) - 1)]))])
+    return tuple(b for b in range(n) if best >> b & 1)
+
+
 # The str record codec that the byte codec in minsumvc.graph replaced: a
 # whole-text writer and a reader of decoded, split text.
 

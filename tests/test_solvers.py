@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +33,7 @@ from minsumvc import (
 from minsumvc import solvers
 from minsumvc.graph import inside_weight_table
 
-from _oracles import max_kvc_loop, msvc_exact_dp_layered, msvc_random
+from _oracles import max_kvc_loop, max_kvc_masks, msvc_exact_dp_layered, msvc_random
 
 
 def _random_dyadic_graph(rng):
@@ -182,6 +183,52 @@ def test_dp_matches_layered_dp_on_a_cubic_graph():
     g = random_regular_graph(20, 3, 5)
     res = msvc_exact_dp(g)
     assert (res.value, res.ordering.perm) == msvc_exact_dp_layered(g)
+
+
+def test_dp_leaves_a_shared_table_intact():
+    for g in (random_weighted_graph(13, 0.5, 8), random_regular_graph(16, 3, 2)):
+        table = inside_weight_table(g)
+        before = table.copy()
+        res = msvc_exact_dp(g, table=table)
+        assert np.array_equal(table.view(np.uint64), before.view(np.uint64))
+        assert (res.value, res.ordering.perm) == _dp_reference(g)
+
+
+def test_max_kvc_table_blocks_break_ties_like_the_mask_scan(monkeypatch):
+    # every k and every low/high split, so ties straddle block borders;
+    # unit weights tie often, float weights rarely
+    for n in range(2, 17):
+        g = random_weighted_graph(n, 0.5, n)
+        unit = WeightedGraph.from_arrays(n, *g.edge_arrays()[:2], np.ones(g.m))
+        for h in (unit, g):
+            table = inside_weight_table(h)
+            expected = [max_kvc_masks(h, k) for k in range(n + 1)]
+            for lo in range(1, n + 1):
+                monkeypatch.setattr(solvers, "_LOW_BITS", lo)
+                got = [max_kvc(h, k, mode="exact", table=table) for k in range(n + 1)]
+                assert got == expected, (n, lo, h.total_weight())
+
+
+def _peak_over_table(fn, n):
+    """tracemalloc peak of fn() in units of one 2^n float table."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 << n)
+
+
+def test_exact_solvers_hold_one_table(monkeypatch):
+    # the DP's row tasks add a working set per thread, so fix two threads
+    monkeypatch.setattr("minsumvc.graph._workers", lambda: 2)
+    g = random_regular_graph(20, 3, 5)
+    table = inside_weight_table(g)
+    assert _peak_over_table(lambda: inside_weight_table(g), g.n) <= 1.1
+    assert _peak_over_table(lambda: msvc_exact_dp(g), g.n) <= 1.6
+    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact"), g.n) <= 1.25
+    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact", table=table), g.n) <= 0.25
 
 
 def test_max_kvc_blocks_match_the_per_subset_loop(monkeypatch):
