@@ -24,7 +24,10 @@ The record reader and writer in this module serve all four text
 formats (graph, unique games, labels, hardness config): blank lines after
 the header are skipped, row counts must match exactly, and errors name the
 line of the file.  Files are read and written as bytes: a CRLF line end is
-accepted, a bare CR ends no line, and a non-ASCII byte is an error.
+accepted, a bare CR ends no line, and a non-ASCII byte is an error.  A
+table is read a block of lines at a time into columns sized from its
+header, and written a chunk of rows at a time, so neither holds the text
+of the whole file.
 """
 
 from __future__ import annotations
@@ -204,7 +207,10 @@ def cover_times(graph, ordering):
         raise ValueError("ordering length does not match vertex count")
     pos = ordering.positions()
     u, v, _ = graph.edge_arrays()
-    return np.minimum(pos[u], pos[v]) + 1
+    times = pos[u]
+    np.minimum(times, pos[v], out=times)
+    times += 1
+    return times
 
 
 def svc_value(graph, ordering):
@@ -268,43 +274,98 @@ _NONBLANK = re.compile(rb"[^\t-\r\x1c- ]")
 # Table rows per chunk written: a few MB of text at a time.
 _CHUNK_ROWS = 1 << 16
 
+# Bytes of table text per np.loadtxt call, plus the rest of the last line.
+# Below glibc's 128 KB mmap threshold: freeing a larger read buffer raises
+# that threshold, and with 4 MB blocks a later exact DP in the same process
+# peaked about 3 MB higher.
+_BLOCK_BYTES = 1 << 16
+
+
+def _loadtxt(text, dtype):
+    return np.loadtxt(io.BytesIO(text), dtype=dtype, comments=None, ndmin=1, encoding="ascii")
+
 
 def _read_records(data, fmt):
-    """Parse data (bytes; str is encoded) in format fmt; return fmt.build(header, fields).
+    """Parse data in format fmt; return fmt.build(header, fields).
 
-    Line 1 is the magic line and line 2 the header.  Blank lines after them
-    are skipped and the row count must match exactly.  Numbers are read by
-    np.loadtxt, which takes the body straight from data.  Errors are
-    fmt.error; those about a line name it, a non-ASCII byte included.
+    data is a binary stream, or bytes or str (str is encoded); a stream
+    that cannot seek, such as a pipe, is read whole first.  Line 1 is the
+    magic line and line 2 the header.  A table is read in blocks of whole
+    lines, each parsed by np.loadtxt and copied into columns allocated
+    from the header's row count.  On any problem the text after the header
+    is read again whole by _read_body, which names the line.
     """
     if isinstance(data, str):
         data = data.encode(errors="replace")
-
-    def parse(chunk, dtype, start=0):
-        stream = io.BytesIO(chunk)
-        stream.seek(start)
-        return np.loadtxt(stream, dtype=dtype, comments=None, ndmin=1, encoding="ascii")
-
-    # ends of lines 1 and 2 (len(data) when missing); the body is not split
-    first = data.find(b"\n") % (len(data) + 1)
-    second = data.find(b"\n", first + 1) % (len(data) + 1)
-    if data[:first].decode("ascii", "replace").strip() != fmt.magic:
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    if not stream.seekable():
+        stream = io.BytesIO(stream.read())
+    if stream.readline().decode("ascii", "replace").strip() != fmt.magic:
         raise fmt.error(f"line 1: expected header {fmt.magic!r}")
-    head, start = data[first + 1 : second], second + 1
+    head = stream.readline()
     try:
-        header = parse(head, np.int64).tolist() if _NONBLANK.search(head) else []
+        header = _loadtxt(head, np.int64).tolist() if _NONBLANK.search(head) else []
     except ValueError:
         header = []
     if len(header) != len(fmt.header) or min(header) < 0:
         raise fmt.error(f"line 2: expected {' '.join(fmt.header)!r}, nonnegative integers")
+    start = stream.tell()
+    if fmt.columns is None:
+        fields = _read_body(stream.read(), fmt, header)
+    else:
+        fields = _read_table(stream, fmt.columns, header[-1])
+        if fields is None or (fmt.check and fmt.check(header, fields)):
+            stream.seek(start)
+            _read_body(stream.read(), fmt, header)
+            raise AssertionError("the block read of a table found a problem that the whole read did not")
+    try:
+        return fmt.build(header, fields)
+    except ValueError as exc:
+        raise fmt.error(str(exc)) from None
+
+
+def _read_table(stream, columns, count):
+    """The columns of the count table rows left in stream, or None if anything is amiss.
+
+    A row takes at least two bytes per column (the last row one less), so
+    a count the remaining bytes cannot hold allocates nothing.
+    """
+    start = stream.tell()
+    if 2 * len(columns) * count > stream.seek(0, io.SEEK_END) - start + 1:
+        return None
+    stream.seek(start)
+    fields = [np.empty(count, columns[name]) for name in columns.names]
+    filled = 0
+    while block := stream.read(_BLOCK_BYTES):
+        block += stream.readline()
+        if not _NONBLANK.search(block):
+            continue
+        try:
+            table = _loadtxt(block, columns)
+        except ValueError:
+            return None
+        if table.size > count - filled:
+            return None
+        for field, name in zip(fields, columns.names):
+            field[filled : filled + table.size] = table[name]
+        filled += table.size
+    return fields if filled == count else None
+
+
+def _read_body(body, fmt, header):
+    """The fields of the text after the header, read whole; errors name the line.
+
+    Blank lines are skipped and the row count must match exactly.  This is
+    how the labels format is read, and how a table's problem is located.
+    """
 
     def numbered():
         """(line number, line) of each nonblank line after the header."""
-        return [(i, ln) for i, ln in enumerate(data[start:].split(b"\n"), start=3) if _NONBLANK.search(ln)]
+        return [(i, ln) for i, ln in enumerate(body.split(b"\n"), start=3) if _NONBLANK.search(ln)]
 
     def fail(row, reason):
         """Raise for the given row; a row past the last names the line after the text."""
-        found, last = numbered(), data[start:].split(b"\n")
+        found, last = numbered(), body.split(b"\n")
         number = found[row][0] if row < len(found) else 2 + len(last) + (last[-1] != b"")
         raise fmt.error(f"line {number}: {reason}")
 
@@ -312,7 +373,7 @@ def _read_records(data, fmt):
         count, fields = len(header) - 1, []
         for row, ((_, line), size) in enumerate(zip(numbered(), header[1:])):
             try:
-                fields.append(parse(line, np.int64))
+                fields.append(_loadtxt(line, np.int64))
             except ValueError:
                 fail(row, f"expected {size} integers")
             if fields[-1].size != size:
@@ -321,7 +382,7 @@ def _read_records(data, fmt):
     else:
         count = header[-1]
         try:
-            table = parse(data, fmt.columns, start) if _NONBLANK.search(data, start) else np.empty(0, fmt.columns)
+            table = _loadtxt(body, fmt.columns) if _NONBLANK.search(body) else np.empty(0, fmt.columns)
         except ValueError:
             # loadtxt's messages do not name the line: bisect for the
             # first row it rejects, parsing about as much text again
@@ -330,7 +391,7 @@ def _read_records(data, fmt):
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 try:
-                    parse(b"\n".join(rows[lo:mid]), fmt.columns)
+                    _loadtxt(b"\n".join(rows[lo:mid]), fmt.columns)
                     lo = mid
                 except ValueError:
                     hi = mid
@@ -338,24 +399,22 @@ def _read_records(data, fmt):
                 fail(lo, f"expected {' '.join(fmt.columns.names)!r}")
             fail(count, f"expected {count} rows")
         found = table.size
-        fields = [np.ascontiguousarray(table[name]) for name in fmt.columns.names]
+        fields = [table[name] for name in fmt.columns.names]
     if found != count:
         fail(count, f"expected {count} rows")
     problem = fmt.check and fmt.check(header, fields)
     if problem:
         fail(*problem)
-    try:
-        return fmt.build(header, fields)
-    except ValueError as exc:
-        raise fmt.error(str(exc)) from None
+    return fields
 
 
 def _write_records(fmt, header, fields):
     """Yield the bytes of format fmt in chunks; fields are a table's columns or the rows.
 
     Each distinct value of a table field is formatted once, into a table of
-    NUL-padded cells.  A chunk of _CHUNK_ROWS rows gathers its cells and
-    separators into one byte matrix and drops the NULs.
+    NUL-padded cells.  A chunk of _CHUNK_ROWS rows looks its values up in
+    the sorted distinct values, gathers their cells and the separators into
+    one byte matrix and drops the NULs.
     """
     yield f"{fmt.magic}\n{' '.join(map(str, header))}\n".encode()
     if fmt.columns is None:
@@ -366,24 +425,32 @@ def _write_records(fmt, header, fields):
     for values in map(np.asarray, fields):
         to_text = str if values.dtype.kind == "i" else fmt.float_text
         # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
-        keys, index = np.unique(values.view(np.uint64), return_inverse=True)
+        bits = values.view(np.uint64)
+        keys = np.unique(bits)
         table = np.array([to_text(x) for x in keys.view(values.dtype).tolist()], dtype=bytes)
-        cells.append((table.view(np.uint8).reshape(keys.size, table.itemsize), index))
-    ends = np.cumsum([table.shape[1] + 1 for table, _ in cells])
-    rows = len(cells[0][1])
+        cells.append((table.view(np.uint8).reshape(keys.size, table.itemsize), keys, bits))
+    ends = np.cumsum([table.shape[1] + 1 for table, _, _ in cells])
+    rows = cells[0][2].size
     for lo in range(0, rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, rows)
         chunk = np.full((hi - lo, ends[-1]), ord(" "), np.uint8)
         chunk[:, -1] = ord("\n")
-        for (table, index), end in zip(cells, ends):
-            chunk[:, end - 1 - table.shape[1] : end - 1] = table[index[lo:hi]]
+        for (table, keys, bits), end in zip(cells, ends):
+            chunk[:, end - 1 - table.shape[1] : end - 1] = table[np.searchsorted(keys, bits[lo:hi])]
         yield chunk[chunk != 0].tobytes()
 
 
+class _File(io.BufferedReader):
+    """A binary file open for reading; len() is its size in bytes, as for bytes."""
+
+    def __len__(self):
+        return os.fstat(self.fileno()).st_size
+
+
 def _load_records(path, parse):
-    """parse(the bytes of the file at path), read in one call."""
-    with open(path, "rb") as fh:
-        return parse(fh.read())
+    """parse(the file at path, open for binary reading)."""
+    with _File(io.FileIO(path)) as fh:
+        return parse(fh)
 
 
 def _save_records(path, chunks):
@@ -409,7 +476,7 @@ def write_graph(graph):
 
 
 def read_graph(text):
-    """Parse the documented text format (str or bytes); errors name the 1-based line."""
+    """Parse the documented text format (str, bytes or a binary stream); errors name the 1-based line."""
     return _read_records(text, _GRAPH_FORMAT)
 
 

@@ -167,27 +167,19 @@ def build_long_code_graph(instance, rho):
     n = instance.v_count * size
     pw = _pair_weights(rho, L)
     codes = np.arange(size, dtype=np.int64)
-
-    us, vs, ws = [], [], []
-    for pairs in _edges_by_u(instance):
-        for v1, c1 in pairs:
-            rx = _rotate(codes, c1, L)
-            base1 = v1 * size + codes
-            for v2, c2 in pairs:
-                ry = _rotate(codes, c2, L)
-                weight = pw[np.bitwise_count(rx[:, None] ^ ry[None, :])]
-                ids1 = np.broadcast_to(base1[:, None], (size, size))
-                ids2 = np.broadcast_to((v2 * size + codes)[None, :], (size, size))
-                keep = (ids1 != ids2).ravel()
-                us.append(ids1.ravel()[keep])
-                vs.append(ids2.ravel()[keep])
-                ws.append(weight.ravel()[keep])
-
-    if not us:
-        return WeightedGraph.from_arrays(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    return WeightedGraph.from_arrays(
-        n, np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
-    )
+    blocks = [(v1, c1, v2, c2) for pairs in _edges_by_u(instance) for v1, c1 in pairs for v2, c2 in pairs]
+    # a block keeps all size^2 code pairs but the size self-loops of v1 == v2
+    m = sum(size * size - size * (v1 == v2) for v1, _, v2, _ in blocks)
+    u, v, w = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
+    end = 0
+    for v1, c1, v2, c2 in blocks:
+        weight = pw[np.bitwise_count(_rotate(codes, c1, L)[:, None] ^ _rotate(codes, c2, L)[None, :])]
+        ids1 = np.broadcast_to((v1 * size + codes)[:, None], (size, size))
+        ids2 = np.broadcast_to((v2 * size + codes)[None, :], (size, size))
+        keep = ids1 != ids2
+        start, end = end, end + np.count_nonzero(keep)
+        u[start:end], v[start:end], w[start:end] = ids1[keep], ids2[keep], weight[keep]
+    return WeightedGraph.from_arrays(n, u, v, w)
 
 
 def _loop_mass(instance, rho):
@@ -257,6 +249,8 @@ def verify_reduction(graph, instance, rho):
     """
     L = instance.alphabet
     size = 1 << L
+    if graph.n != instance.v_count * size:
+        raise ValueError(f"graph has {graph.n} vertices, the instance's reduction has {instance.v_count * size}")
     du, dv = instance.u_degree, instance.v_degree
     target = dv * du * 2.0 ** (1 - L)
 

@@ -12,6 +12,7 @@ import minsumvc
 from minsumvc import (
     HardnessConfig,
     WeightedGraph,
+    build_long_code_graph,
     complete_graph,
     load_graph,
     load_hardness_config,
@@ -148,6 +149,19 @@ def test_reduce_build_verify_order_round_trip(tmp_path, capsys):
     order_payload = json.loads(out)
     assert sorted(order_payload["ordering"]) == list(range(12))
     assert order_payload["normalized"] <= order_payload["completeness_bound"] + 1e-9
+
+
+def test_reduce_verify_against_another_instance_exits_one(tmp_path, capsys):
+    instance, _ = random_affine_instance(2, 3, 2, seed=0)
+    wider, _ = random_affine_instance(3, 3, 2, seed=0)
+    ug_path, graph_path = tmp_path / "inst.ug", tmp_path / "wider.graph"
+    save_ug(instance, ug_path)
+    save_graph(build_long_code_graph(wider, -0.5), graph_path)
+    code, out, err = run_cli(
+        capsys, "reduce", "verify", "--input", str(ug_path), "--graph", str(graph_path), "--rho", "-0.5",
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines()[1] == "error: graph has 24 vertices, the instance's reduction has 12"
 
 
 def test_reduce_bare_form_rewrites_to_build(tmp_path, capsys):
@@ -329,3 +343,24 @@ def test_stdout_identical_on_one_cpu_and_on_all(tmp_path):
         all_out, all_manifest = _run_child(argv, pin=False)
         assert one_out == all_out
         assert (one_manifest["workers"], all_manifest["workers"]) == (1, cpus)
+
+
+def test_solve_reads_a_graph_from_a_pipe(tmp_path):
+    path = tmp_path / "g.graph"
+    save_graph(random_weighted_graph(12, 0.4, 7), path)
+    src = str(Path(minsumvc.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); from minsumvc.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def solve(where, data=b""):
+        argv = [sys.executable, "-c", code, "solve", "--method", "exact", "--input", where]
+        return subprocess.run(argv, input=data, capture_output=True, timeout=60)
+
+    by_path = solve(str(path))
+    by_pipe = solve("/dev/stdin", path.read_bytes())
+    assert by_path.returncode == by_pipe.returncode == 0
+    assert by_pipe.stdout == by_path.stdout
+    lines = path.read_bytes().split(b"\n")
+    lines[4] = b"0 1 x"
+    bad = solve("/dev/stdin", b"\n".join(lines))
+    assert (bad.returncode, bad.stdout) == (1, b"")
+    assert bad.stderr.decode().splitlines()[1] == "error: line 5: expected 'u v w'"

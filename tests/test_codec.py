@@ -12,6 +12,7 @@ from minsumvc import (
     AffineUGInstance,
     GraphFormatError,
     HardnessConfig,
+    Ordering,
     UGLabeling,
     WeightedGraph,
     build_long_code_graph,
@@ -31,6 +32,7 @@ from minsumvc import (
     save_hardness_config,
     save_labels,
     save_ug,
+    svc_value,
     write_graph,
 )
 from minsumvc import graph as graph_module
@@ -51,6 +53,10 @@ CODEC = settings(
 # Rows per written chunk: 1 to 5 put small tables on both sides of a chunk
 # boundary; the last is the module's own constant.
 CHUNK_ROWS = st.sampled_from([1, 2, 3, 4, 5, graph_module._CHUNK_ROWS])
+
+# Bytes per block read: 1 to 8 end blocks inside and at the ends of rows;
+# the last is the module's own constant.
+BLOCK_BYTES = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, graph_module._BLOCK_BYTES])
 
 SUBNORMAL = 5e-324
 WEIGHTS = st.one_of(
@@ -75,22 +81,23 @@ def _bits(g):
 
 
 @CODEC
-@given(g=graphs(), rows=CHUNK_ROWS)
-@example(g=WeightedGraph(3, []), rows=4)
-@example(g=WeightedGraph(3, [(0, 2, 1e15 - 1.0)]), rows=4)
-@example(g=WeightedGraph(2, [(0, 1, 1e15), (1, 0, SUBNORMAL), (0, 1, 1e-310)]), rows=4)
-@example(g=WeightedGraph(5, [(i, i + 1, 0.1 * (i + 1)) for i in range(4)]), rows=4)
-@example(g=WeightedGraph(6, [(i, i + 1, 0.1 * (i + 1)) for i in range(5)]), rows=4)
-@example(g=WeightedGraph(9, [(i, i + 1, 3.0) for i in range(8)]), rows=4)
-def test_graph_codec_matches_the_str_oracle(tmp_path, g, rows):
+@given(g=graphs(), rows=CHUNK_ROWS, block=BLOCK_BYTES)
+@example(g=WeightedGraph(3, []), rows=4, block=1)
+@example(g=WeightedGraph(3, [(0, 2, 1e15 - 1.0)]), rows=4, block=3)
+@example(g=WeightedGraph(2, [(0, 1, 1e15), (1, 0, SUBNORMAL), (0, 1, 1e-310)]), rows=4, block=8)
+@example(g=WeightedGraph(5, [(i, i + 1, 0.1 * (i + 1)) for i in range(4)]), rows=4, block=4)
+@example(g=WeightedGraph(6, [(i, i + 1, 0.1 * (i + 1)) for i in range(5)]), rows=4, block=6)
+@example(g=WeightedGraph(9, [(i, i + 1, 3.0) for i in range(8)]), rows=4, block=1 << 16)
+def test_graph_codec_matches_the_str_oracle(tmp_path, g, rows, block):
     path = tmp_path / "g.graph"
     with mock.patch.object(graph_module, "_CHUNK_ROWS", rows):
         text = write_graph(g)
         save_graph(g, path)
     assert text == write_records_text(_GRAPH_FORMAT, (g.n, g.m), g.edge_arrays())
     assert path.read_bytes() == text.encode()
-    assert _bits(read_graph(text)) == _bits(g)
-    assert _bits(load_graph(path)) == _bits(g)
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+        assert _bits(read_graph(text)) == _bits(g)
+        assert _bits(load_graph(path)) == _bits(g)
     assert _bits(read_records_text(text, _GRAPH_FORMAT)) == _bits(g)
 
 
@@ -118,13 +125,14 @@ CONFIGS = st.lists(
 
 
 @CODEC
-@given(files=ug_files(), cfg=CONFIGS, rows=CHUNK_ROWS)
+@given(files=ug_files(), cfg=CONFIGS, rows=CHUNK_ROWS, block=BLOCK_BYTES)
 @example(
     files=(AffineUGInstance(5, 2, 2, [(0, 1, 4), (1, 0, 0)]), UGLabeling(5, (1, 2), (3, 4))),
     cfg=HardnessConfig(((1.0, -0.5), (0.25, -0.125), (3.0, -0.75), (2.0, -0.25), (1.5, -0.625))),
     rows=4,
+    block=5,
 )
-def test_ug_labels_and_config_files_round_trip(tmp_path, files, cfg, rows):
+def test_ug_labels_and_config_files_round_trip(tmp_path, files, cfg, rows, block):
     instance, labeling = files
     path = tmp_path / "f"
     ug_header = (instance.alphabet, instance.u_count, instance.v_count, instance.m)
@@ -143,8 +151,9 @@ def test_ug_labels_and_config_files_round_trip(tmp_path, files, cfg, rows):
             save(obj, path)
         assert text == write_records_text(fmt, header, fields)
         assert path.read_bytes() == text.encode()
-        back = load(path)
-        assert back == parse(text) == read_records_text(text, fmt)
+        with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+            back = load(path)
+            assert back == parse(text) == read_records_text(text, fmt)
         # the config writes 10 significant digits: exact after one round
         assert fmt_text(back) == text
         if fmt is not _CONFIG_FORMAT:
@@ -197,23 +206,113 @@ def test_a_str_with_a_lone_surrogate_is_an_error_on_its_line():
         read_graph("msvc-graph 1\n3 2\n0 1 1.5\n1 2 2\ud800\n")
 
 
-def test_save_and_load_graph_peaks_stay_near_the_file_size(tmp_path):
-    """Traced peaks in units of the file size, on a 260,864-edge long-code graph."""
-    instance, _ = random_affine_instance(7, 4, 2, seed=0)
-    g = build_long_code_graph(instance, -0.52)
-    assert g.m >= 1 << 17
-    path = tmp_path / "long_code.graph"
+# Per table format: reader of bytes, loader, format, header for a row
+# count, six valid rows, and rows that break a token, the column count,
+# the format's check or its build.
+TABLES = {
+    "graph": (read_graph, load_graph, _GRAPH_FORMAT, b"msvc-graph 1\n4 %d\n",
+              [b"0 1 1.5", b"1 2 2", b"2 3 0.25", b"3 0 4", b"0 2 1e-3", b"1 3 7"],
+              [b"0 1 x", b"0 1", b"0 1 1 1", b"2 2 1", b"0 4 1", b"0 1 -1"]),
+    "ug": (parse_ug, load_ug, _UG_FORMAT, b"msvc-ug 1\n3 3 3 %d\n",
+           [b"0 0 1", b"0 1 2", b"1 1 0", b"1 2 1", b"2 2 2", b"2 0 0"],
+           [b"0 x 1", b"0 0", b"3 0 1", b"0 0 3", b"0 2 1"]),
+    "config": (parse_hardness_config, load_hardness_config, _CONFIG_FORMAT, b"msvc-hardness 1\n%d\n",
+               [b"1 -0.5", b"2 -0.25", b"0.5 -0.75", b"3 -0.125", b"1e-3 -0.999", b"4 -0.5"],
+               [b"1 y", b"1", b"1 -0.5 2", b"0 -0.5"]),
+}
+
+
+def _table_texts(header, rows, bad_rows):
+    """Valid texts, and texts with a problem at each row in turn.
+
+    Read with blocks of every size up to a few rows, each problem falls
+    first, inside and last in a block; surplus rows fall in later blocks.
+    """
+    k = len(rows)
+    yield header % k + b"\n".join(rows) + b"\n"
+    yield header % k + b"\n".join(rows)
+    yield header % k + b"\r\n \r\n\r\n".join(rows) + b"\r\n\t\r\n"
+    yield header % 0 + b"\n \n"
+    for i in range(k):
+        for bad in bad_rows:
+            yield header % k + b"\n".join(rows[:i] + [bad] + rows[i + 1 :]) + b"\n"
+        yield header % k + b"\r\n\r\n".join(rows[:i] + [rows[i] + b"\xe9"] + rows[i + 1 :])
+        yield header % k + b"\n".join(rows[:i]) + b"\n\n"
+        yield header % k + b"\n".join(rows + [b""] * i + rows[i:]) + b"\n"
+        yield header % i + b"\n\n".join(rows) + b"\n"
+
+
+def _outcome(read):
+    """("ok", what was read) or (the error's type, its message)."""
+    try:
+        result = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return "ok", _bits(result) if isinstance(result, WeightedGraph) else result
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_tables_read_in_blocks_fail_like_the_str_oracle(tmp_path, kind):
+    parse, load, fmt, header, rows, bad_rows = TABLES[kind]
+    path = tmp_path / kind
+    messages = []
+    for text in _table_texts(header, rows, bad_rows):
+        expected = _outcome(lambda: read_records_text(text.decode(errors="replace"), fmt))
+        messages.append(expected[1] if expected[0] == fmt.error else "ok")
+        path.write_bytes(text)
+        for block in range(1, 4 * len(rows[0]) + 1):
+            with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+                assert _outcome(lambda: parse(text)) == expected, (text, block)
+                assert _outcome(lambda: load(path)) == expected, (text, block)
+    # the texts read, and fail at every row for several reasons
+    assert "ok" in messages
+    assert len(set(messages)) > 3 * len(rows)
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("graph", b"msvc-graph 1\n3 1000000000000\n0 1 1\n"),
+    ("ug", b"msvc-ug 1\n3 2 2 1000000000000\n0 1 2\n"),
+    ("config", b"msvc-hardness 1\n1000000000000\n1 -0.5\n"),
+])
+def test_a_row_count_the_file_cannot_hold_allocates_nothing(tmp_path, kind, data):
+    load, fmt, _, _ = FILES[kind]
+    path = tmp_path / kind
+    path.write_bytes(data)
     tracemalloc.start()
     try:
-        save_graph(g, path)
-        save_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        loaded = load_graph(path)
-        load_peak = tracemalloc.get_traced_memory()[1] - base
+        with pytest.raises(fmt.error, match="^line 4: expected 1000000000000 rows$"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = path.stat().st_size
+    assert peak < 1 << 20
+
+
+def test_save_and_load_graph_peaks_stay_near_the_file_size(tmp_path):
+    """Traced peaks on a 260,864-edge long-code graph.
+
+    In units of the graph's own arrays (24 bytes per edge) for the build
+    and svc_value, and of the file size for save and load.
+    """
+    instance, _ = random_affine_instance(7, 4, 2, seed=0)
+    ordering = Ordering(np.random.default_rng(0).permutation(instance.v_count << 7))
+    path = tmp_path / "long_code.graph"
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    g, build_peak = traced(lambda: build_long_code_graph(instance, -0.52))
+    _, save_peak = traced(lambda: save_graph(g, path))
+    loaded, load_peak = traced(lambda: load_graph(path))
+    _, svc_peak = traced(lambda: svc_value(g, ordering))
+    arrays, size = 24 * g.m, path.stat().st_size
+    assert g.m >= 1 << 17
     assert loaded == g
-    assert save_peak < 2.5 * size
-    assert load_peak < 3.25 * size
+    assert build_peak < 1.5 * arrays
+    assert save_peak < 1.0 * size
+    assert load_peak < 1.25 * size
+    assert svc_peak < 0.85 * arrays

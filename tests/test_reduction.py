@@ -233,3 +233,11 @@ def test_labels_io_round_trip_and_errors():
     with pytest.raises(UGFormatError, match="line 6"):
         parse_labels(LABELS_MAGIC + "\n3 2 1\n0 1\n2\n\n1\n")
     assert parse_labels(LABELS_MAGIC + "\n3 2 3\n\n0 2\n\n1 0 2\n") == lab
+
+
+def test_verify_reduction_rejects_the_graph_of_another_alphabet():
+    instance, _ = random_affine_instance(2, 3, 2, seed=0)
+    wider, _ = random_affine_instance(3, 3, 2, seed=0)
+    graph = build_long_code_graph(wider, -0.5)
+    with pytest.raises(ValueError, match="^graph has 24 vertices, the instance's reduction has 12$"):
+        verify_reduction(graph, instance, -0.5)
