@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -23,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .graph import WeightedGraph, _workers, load_graph, save_graph, svc_value
+from .graph import _digests, _workers, load_graph, save_graph, svc_value
 from .hardness import (
     composite_ratio,
     figure1_config,
@@ -79,14 +78,6 @@ labels file format (text):
   line 3: |U| labels for the U side, space-separated
   line 4: |V| labels for the V side, space-separated
 """
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
 
 def _clean(value):
     if isinstance(value, float) and not np.isfinite(value):
@@ -482,9 +473,10 @@ def main(argv=None):
         "input_digests": {},
         "wall_time_s": None,
     }
+    _digests.clear()
     try:
         payload, inputs, *extra = args.handler(args)
-        manifest["input_digests"] = {path: _sha256(path) for path in inputs}
+        manifest["input_digests"] = {path: _digests[path] for path in inputs}
         manifest.update(*extra)
     except (ValueError, OSError, RuntimeError, AssertionError) as exc:
         manifest["wall_time_s"] = round(time.perf_counter() - start, 6)

@@ -20,6 +20,10 @@ with a node-doubling check on the scalar path.
 The diagonal slice C_rho(r, r), its derivative in r, and its integral over
 r in [0, 1] are what the hardness bounds consume.  The derivative has the
 conditional-CDF closed form 2 * Phi(sqrt((1-rho)/(1+rho)) * Phi^-1(r)).
+
+scipy's ndtr is imported inside the four routines that call it, so that
+importing this module (and the package, and its CLI) does not load scipy:
+that import is about half of the CLI's start-up time and memory.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 SQRT2 = math.sqrt(2.0)
 SQRT_TAU = math.sqrt(2.0 * math.pi)
@@ -98,6 +101,8 @@ def phi_inv(p):
 
 def phi_inv_vec(p):
     """Vectorized phi_inv; same rational-guess plus Newton construction."""
+    from scipy.special import ndtr
+
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("phi_inv requires 0 < p < 1")
@@ -134,6 +139,8 @@ def _copula_quad(rho, bx, by, n_nodes):
     Splits [-Z_CUT, min(bx, Z_CUT)] into the part where the inner Phi factor
     is saturated at 1 (closed form) and the transition window (Gauss-Legendre).
     """
+    from scipy.special import ndtr
+
     s = math.sqrt(1.0 - rho * rho)
     a0 = -Z_CUT
     b0 = min(bx, Z_CUT)
@@ -167,6 +174,8 @@ def gaussian_copula(rho, x, y):
     Quadrature path targets 1e-10 absolute via node doubling; exact closed
     forms at rho in {-1, 0-ish, 1} and at the boundary arguments.
     """
+    from scipy.special import ndtr
+
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     if not 0.0 <= x <= 1.0 or not 0.0 <= y <= 1.0:
@@ -206,6 +215,8 @@ def copula_diag_grid(rho, r, n_nodes=160):
     Gauss-Legendre nodes on each transition window.  Agreement with the
     scalar route is pinned by tests.
     """
+    from scipy.special import ndtr
+
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     r = np.asarray(r, dtype=np.float64)
@@ -246,12 +257,28 @@ def copula_diag_grid(rho, r, n_nodes=160):
     mid = 0.5 * (qb + qa)
     # slabs of _BLOCK columns, the last up to twice as wide (a last slab of
     # 1-3 columns moved the product's last bits): each column gets the
-    # operations and the bits of one n_nodes x N slab, without its size
+    # operations and the bits of one n_nodes x N slab, without its size.
+    # Three buffers sized for the widest slab hold each slab's values in
+    # turn, every operation writing in place.  Three arrays, not one of
+    # three rows: freeing a 3.9 MB block raises glibc's mmap threshold,
+    # and a later exact DP in the same process then peaked 9 MB higher.
     stops = [*range(_BLOCK, b.size - _BLOCK + 1, _BLOCK), b.size]
-    for lo, hi in zip([0, *stops], stops):
-        z = mid[lo:hi] + half[lo:hi] * t[:, None]
-        vals = np.exp(-0.5 * z * z) / SQRT_TAU * ndtr((b[lo:hi] - rho * z) / s)
-        ones[lo:hi] += half[lo:hi] * (w @ vals)
+    slabs = list(zip([0, *stops], stops))
+    bufs = [np.empty(n_nodes * max(hi - lo for lo, hi in slabs)) for _ in range(3)]
+    for lo, hi in slabs:
+        z, e, a = (buf[: n_nodes * (hi - lo)].reshape(n_nodes, -1) for buf in bufs)
+        np.multiply(half[lo:hi], t[:, None], out=z)
+        z += mid[lo:hi]
+        np.multiply(z, -0.5, out=e)
+        e *= z
+        np.exp(e, out=e)
+        e /= SQRT_TAU
+        np.multiply(z, rho, out=a)
+        np.subtract(b[lo:hi], a, out=a)
+        a /= s
+        ndtr(a, out=a)
+        e *= a
+        ones[lo:hi] += half[lo:hi] * (w @ e)
     out[inner] = ones
     return out
 

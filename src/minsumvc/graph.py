@@ -32,6 +32,7 @@ of the whole file.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import re
@@ -45,6 +46,10 @@ GRAPH_MAGIC = "msvc-graph 1"
 
 # Bitmask tables are only built while 2^n stays modest.
 _TABLE_MAX_BITS = 24
+
+# Rows per chunk: of a table written (a few MB of text at a time), and of
+# the edges whose cover times svc_value gathers.
+_CHUNK_ROWS = 1 << 16
 
 
 def _workers():
@@ -201,11 +206,15 @@ class Ordering:
         return f"Ordering({list(self.perm)})"
 
 
-def cover_times(graph, ordering):
-    """1-indexed cover time per edge, aligned with graph.edges order."""
+def _positions(graph, ordering):
     if len(ordering) != graph.n:
         raise ValueError("ordering length does not match vertex count")
-    pos = ordering.positions()
+    return ordering.positions()
+
+
+def cover_times(graph, ordering):
+    """1-indexed cover time per edge, aligned with graph.edges order."""
+    pos = _positions(graph, ordering)
     u, v, _ = graph.edge_arrays()
     times = pos[u]
     np.minimum(times, pos[v], out=times)
@@ -214,9 +223,20 @@ def cover_times(graph, ordering):
 
 
 def svc_value(graph, ordering):
-    """Sum over edges of weight times cover time."""
-    _, _, w = graph.edge_arrays()
-    return float(np.dot(w, cover_times(graph, ordering)))
+    """Sum over edges of weight times cover time.
+
+    The cover times go into one float64 array, _CHUNK_ROWS edges at a
+    time, with no int64 array the length of the edge list: np.dot sees the
+    values it would see over cover_times.
+    """
+    pos = _positions(graph, ordering)
+    u, v, w = graph.edge_arrays()
+    times = np.empty(w.size)
+    for lo in range(0, w.size, _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        np.minimum(pos[u[lo:hi]], pos[v[lo:hi]], out=times[lo:hi])
+        times[lo:hi] += 1
+    return float(np.dot(w, times))
 
 
 def inside_weight_table(graph):
@@ -270,9 +290,6 @@ class _RecordFormat(NamedTuple):
 # An ASCII byte that str.strip() keeps: all but \t-\r, \x1c-\x1f and space.
 # np.loadtxt skips the same lines as blank.
 _NONBLANK = re.compile(rb"[^\t-\r\x1c- ]")
-
-# Table rows per chunk written: a few MB of text at a time.
-_CHUNK_ROWS = 1 << 16
 
 # Bytes of table text per np.loadtxt call, plus the rest of the last line.
 # Below glibc's 128 KB mmap threshold: freeing a larger read buffer raises
@@ -441,16 +458,42 @@ def _write_records(fmt, header, fields):
 
 
 class _File(io.BufferedReader):
-    """A binary file open for reading; len() is its size in bytes, as for bytes."""
+    """A binary file open for reading; len() is its size in bytes, as for bytes.
+
+    sha256 hashes every byte that read and readline return.  A parse that
+    succeeds reads each byte of the file once, in order (only a failing one
+    seeks back to read again), so its digest is the file's.
+    """
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.sha256 = hashlib.sha256()
 
     def __len__(self):
         return os.fstat(self.fileno()).st_size
 
+    def read(self, size=-1):
+        data = super().read(size)
+        self.sha256.update(data)
+        return data
+
+    def readline(self, size=-1):
+        data = super().readline(size)
+        self.sha256.update(data)
+        return data
+
+
+# sha256 of each file that _load_records has read, by path as given; the
+# CLI reports them in its run manifest.
+_digests = {}
+
 
 def _load_records(path, parse):
-    """parse(the file at path, open for binary reading)."""
+    """parse(the file at path, open for binary reading); the file's sha256 goes to _digests."""
     with _File(io.FileIO(path)) as fh:
-        return parse(fh)
+        result = parse(fh)
+    _digests[path] = fh.sha256.hexdigest()
+    return result
 
 
 def _save_records(path, chunks):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: payloads, manifests, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -132,7 +133,7 @@ def test_reduce_build_verify_order_round_trip(tmp_path, capsys):
     assert build_payload["n"] == 12
     assert load_graph(graph_path).n == 12
 
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "reduce", "verify", "--input", str(ug_path),
         "--graph", str(graph_path), "--rho", "-0.5",
     )
@@ -140,12 +141,15 @@ def test_reduce_build_verify_order_round_trip(tmp_path, capsys):
     verify_payload = json.loads(out)
     assert verify_payload["passed"] is True
     assert verify_payload["max_incident_deviation"] <= 1e-9
+    digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (ug_path, graph_path, labels_path)}
+    assert manifest_of(err)["input_digests"] == {k: digests[k] for k in (str(ug_path), str(graph_path))}
 
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "reduce", "order", "--input", str(ug_path),
         "--labels", str(labels_path), "--rho", "-0.5",
     )
     assert code == 0
+    assert manifest_of(err)["input_digests"] == {k: digests[k] for k in (str(ug_path), str(labels_path))}
     order_payload = json.loads(out)
     assert sorted(order_payload["ordering"]) == list(range(12))
     assert order_payload["normalized"] <= order_payload["completeness_bound"] + 1e-9
@@ -359,8 +363,56 @@ def test_solve_reads_a_graph_from_a_pipe(tmp_path):
     by_pipe = solve("/dev/stdin", path.read_bytes())
     assert by_path.returncode == by_pipe.returncode == 0
     assert by_pipe.stdout == by_path.stdout
+    # the manifest hashes the bytes as read: opening /dev/stdin again
+    # after the pipe was drained would give the digest of b""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    for where, proc in ((str(path), by_path), ("/dev/stdin", by_pipe)):
+        assert json.loads(proc.stderr.decode().splitlines()[0])["input_digests"] == {where: digest}
     lines = path.read_bytes().split(b"\n")
     lines[4] = b"0 1 x"
     bad = solve("/dev/stdin", b"\n".join(lines))
     assert (bad.returncode, bad.stdout) == (1, b"")
     assert bad.stderr.decode().splitlines()[1] == "error: line 5: expected 'u v w'"
+
+
+# Runs CLI commands in one fresh interpreter and reports, after the import
+# and after each command, whether scipy has been loaded.
+_SCIPY_PROBE_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+import minsumvc.cli
+seen = [["import", 0, "scipy" in sys.modules]]
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = minsumvc.cli.main(argv)
+    seen.append([" ".join(argv[:2]), code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_copula_commands_load_scipy(tmp_path):
+    inst, lab = random_affine_instance(2, 3, 2, seed=0)
+    ug, labels, red, edge, small = (
+        tmp_path / name for name in ("i.ug", "i.labels", "red.graph", "edge.graph", "g.graph")
+    )
+    save_ug(inst, ug)
+    save_labels(lab, labels)
+    save_graph(WeightedGraph(2, [(0, 1, 0.5)]), edge)
+    save_graph(random_weighted_graph(8, 0.5, 3), small)
+    runs = [
+        ["reduce", "build", "--input", str(ug), "--rho", "-0.5", "--out", str(red)],
+        ["reduce", "verify", "--input", str(ug), "--graph", str(red), "--rho", "-0.5"],
+        ["reduce", "order", "--input", str(ug), "--labels", str(labels), "--rho", "-0.5"],
+        ["unweight", "--input", str(edge), "--m", "8", "--eps", "1/4", "--out", str(tmp_path / "u.graph")],
+        ["solve", "--method", "exact", "--input", str(small)],
+        ["hardness", "single", "--rho", "-0.52"],
+        ["regular", "counterexample", "--p", "1", "--q", "10", "--verify"],
+        ["regular", "ratio"],
+        ["hardness", "composite", "--steps", "2000"],
+    ]
+    src = str(Path(minsumvc.__file__).resolve().parent.parent)
+    code = _SCIPY_PROBE_CHILD.format(src=src, runs=runs)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=120)
+    seen = json.loads(proc.stdout)
+    assert [step[1] for step in seen] == [0] * len(seen)
+    assert [step[2] for step in seen] == [False] * (len(seen) - 1) + [True], seen

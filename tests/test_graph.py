@@ -61,6 +61,21 @@ def test_weighted_cover_times():
     assert svc_value(g, sigma) == 2.5 * 2 + 0.5 * 1
 
 
+def test_svc_value_is_the_dot_of_float_cover_times():
+    # svc_value gathers cover times in chunks of 2^16 edges; 150,001 edges
+    # end in a partial third chunk
+    rng = np.random.default_rng(11)
+    n, m = 700, 150_001
+    u = rng.integers(0, n, m)
+    v = (u + rng.integers(1, n, m)) % n
+    big = WeightedGraph.from_arrays(n, u, v, rng.uniform(0.1, 2.0, m))
+    assert m > graph_module._CHUNK_ROWS
+    for g in (big, TRIANGLE, WeightedGraph(4, [(0, 1, 2.5), (2, 3, 0.5)])):
+        sigma = Ordering(rng.permutation(g.n))
+        _, _, w = g.edge_arrays()
+        assert svc_value(g, sigma) == float(np.dot(w, cover_times(g, sigma).astype(np.float64)))
+
+
 def test_suffix_identity_matches_direct_value():
     # dual route: per-edge cover times vs uncovered weight per prefix
     rng = np.random.default_rng(7)
