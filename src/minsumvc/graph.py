@@ -69,6 +69,18 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+def _distinct(values):
+    """The sorted distinct values of a 1-d array, as np.unique gives them.
+
+    np.unique also copies its input and imports numpy.ma on its first call.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class GraphFormatError(ValueError):
     """A graph/instance file does not match its documented text format."""
 
@@ -443,7 +455,7 @@ def _write_records(fmt, header, fields):
         to_text = str if values.dtype.kind == "i" else fmt.float_text
         # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
         bits = values.view(np.uint64)
-        keys = np.unique(bits)
+        keys = _distinct(bits)
         table = np.array([to_text(x) for x in keys.view(values.dtype).tolist()], dtype=bytes)
         cells.append((table.view(np.uint8).reshape(keys.size, table.itemsize), keys, bits))
     ends = np.cumsum([table.shape[1] + 1 for table, _, _ in cells])

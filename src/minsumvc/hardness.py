@@ -23,7 +23,9 @@ i.e. the average cover time; the ratio is soundness over completeness.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -268,30 +270,82 @@ def _greedy_schedule(alphas, profiles, per_graph):
     return value, trace
 
 
-def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12, *, cache=None):
+# Profile pairs kept between calls, keyed (rho, gamma, eps, g), least
+# recently used first; about 65.5 KB per pair at g = 12.  Figure 1 has 50
+# distinct rhos, so `hardness composite` then `hardness optimize` in one
+# process builds them once.  While an optimize_config call runs, the memo
+# drops nothing (a default run on figure 1 uses 113 keys), so the bound
+# never makes it build a key twice.
+_PROFILE_MEMO_PAIRS = 64
+_profile_memo = {}
+_profile_memo_lock = threading.Lock()
+_profile_memo_holds = 0
+
+
+def _trim_profile_memo():
+    """Drop the oldest pairs past the bound unless a call holds the memo; takes the lock held."""
+    if not _profile_memo_holds:
+        while len(_profile_memo) > _PROFILE_MEMO_PAIRS:
+            del _profile_memo[next(iter(_profile_memo))]
+
+
+@contextlib.contextmanager
+def _profile_memo_held():
+    """Keep every pair in the memo until the block ends, then trim it to its bound."""
+    global _profile_memo_holds
+    with _profile_memo_lock:
+        _profile_memo_holds += 1
+    try:
+        yield
+    finally:
+        with _profile_memo_lock:
+            _profile_memo_holds -= 1
+            _trim_profile_memo()
+
+
+def _profile_pairs(keys):
+    """The (completeness, soundness) profile pair of each distinct key.
+
+    Keys the memo holds are read from it; only the others are built, on
+    one thread per CPU (graph._parallel_map), each exactly as on one
+    thread, so the bits depend on neither the CPU count nor what the
+    memo held.  All the keys then become the memo's newest entries.
+    """
+    keys = list(dict.fromkeys(keys))
+    with _profile_memo_lock:
+        pairs = {key: _profile_memo[key] for key in keys if key in _profile_memo}
+    missing = [key for key in keys if key not in pairs]
+    built = _parallel_map(
+        lambda key: (completeness_profile(key[0], key[1], g=key[3]), soundness_profile(key[0], key[2], g=key[3])),
+        missing,
+    )
+    pairs.update(zip(missing, built))
+    with _profile_memo_lock:
+        for key in keys:
+            _profile_memo.pop(key, None)
+            _profile_memo[key] = pairs[key]
+        _trim_profile_memo()
+    return pairs
+
+
+def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12):
     """Greedy-scheduled soundness/completeness ratio of a composite config.
 
-    cache, if given, is a dict that keeps the profile pair of each
-    (rho, gamma, eps, g) for later calls with the same dict.  The pairs
-    not yet cached are built on one thread per CPU (graph._parallel_map)
-    and inserted in the order their rhos first appear in cfg; each pair
-    is computed exactly as on one thread, so the bits do not depend on
-    the CPU count.
+    The profile pair of each distinct (rho, gamma, eps, g) comes from one
+    process-wide memo of the _PROFILE_MEMO_PAIRS most recently used
+    pairs, so later calls (another steps count, other configs sharing
+    rhos) build only the pairs not in it.  The missing pairs are built on
+    one thread per CPU (graph._parallel_map), each exactly as on one
+    thread, so the bits depend on neither the CPU count nor what the
+    memo held.
     """
     if steps < 1000:
         raise ValueError("steps must be at least 1000")
     per_graph = max(1, round(steps / cfg.k))
     alphas = cfg.alphas
 
-    cache = {} if cache is None else cache
-    keys = [(rho, gamma, eps, g) for _, rho in cfg.pairs]
-    missing = list(dict.fromkeys(key for key in keys if key not in cache))
-    built = _parallel_map(
-        lambda key: (completeness_profile(key[0], gamma, g=g), soundness_profile(key[0], eps, g=g)),
-        missing,
-    )
-    cache.update(zip(missing, built))
-    c_profiles, s_profiles = zip(*(cache[key] for key in keys))
+    pairs = _profile_pairs((rho, gamma, eps, g) for _, rho in cfg.pairs)
+    c_profiles, s_profiles = zip(*(pairs[rho, gamma, eps, g] for _, rho in cfg.pairs))
 
     c_value, c_trace = _greedy_schedule(alphas, c_profiles, per_graph)
     s_value, s_trace = _greedy_schedule(alphas, s_profiles, per_graph)
@@ -322,19 +376,26 @@ def optimize_config(seed_cfg, budget, steps=20000, g=12):
 
     budget caps composite_ratio evaluations; only improving moves are
     accepted, so the result never scores below seed_cfg.  Deterministic.
-    The evaluations share one profile cache, so each rho's profiles are
-    built once per call.
+    The evaluations take their profiles from composite_ratio's memo,
+    which drops no pair until the call returns, so each rho's profiles
+    are built at most once per call, and not at all if the memo holds
+    them (as after composite_ratio on seed_cfg).
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    with _profile_memo_held():
+        return _optimize_config(seed_cfg, budget, steps, g)
+
+
+def _optimize_config(seed_cfg, budget, steps, g):
+    """The search of optimize_config."""
     state = {"evals": 0}
-    profiles = {}
 
     def evaluate(pairs):
         if state["evals"] >= budget:
             return None
         state["evals"] += 1
-        return composite_ratio(HardnessConfig(tuple(pairs)), steps, g=g, cache=profiles).ratio
+        return composite_ratio(HardnessConfig(tuple(pairs)), steps, g=g).ratio
 
     def result(pairs, best):
         cfg = HardnessConfig(tuple(tuple(p) for p in pairs))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph, _first_problem
+from .graph import Ordering, WeightedGraph, _distinct, _first_problem
 from .graph import _load_records, _read_records, _RecordFormat, _save_records, _write_records
 
 UG_MAGIC = "msvc-ug 1"
@@ -275,7 +275,7 @@ def verify_reduction(graph, instance, rho):
     block_dev = abs(block - 1.0) if instance.m else 0.0
 
     if graph.m:
-        vals = np.unique(graph.edge_arrays()[2])
+        vals = _distinct(graph.edge_arrays()[2])
         ok = bool(np.all(np.min(np.abs(vals[:, None] - pw[None, :]), axis=1) <= 1e-12 * np.max(pw)))
     else:
         ok = True

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Ordering, WeightedGraph, inside_weight_table, svc_value
-from .solvers import DP_MAX_VERTICES, covered_weight, max_kvc, msvc_exact_dp
+from .solvers import DP_MAX_VERTICES, _exact_dp_in_place, covered_weight, max_kvc
 
 # best published guarantee for Max-2-Sat subject to a bisection constraint
 ALPHA_MAX2SAT_BISECTION = 0.9401
@@ -233,13 +233,15 @@ def verify_counterexample(params):
 
     exact_mode = n <= DP_MAX_VERTICES
     if exact_mode:
+        # the table is read by Max-k-VC and the cover number, then the DP
+        # overwrites it
         table = inside_weight_table(graph)
-        exact = msvc_exact_dp(graph, table=table).value
-        if staged < exact - 1e-9:
-            raise AssertionError("staged ordering beats the exact optimum")
         subset = max_kvc(graph, n // 2, mode="exact", table=table)
         coverage = covered_weight(graph, subset)
         vc = _vertex_cover_number(graph, table)
+        exact = _exact_dp_in_place(graph, table).value
+        if staged < exact - 1e-9:
+            raise AssertionError("staged ordering beats the exact optimum")
     else:
         exact = staged
         coverage = float("nan")
@@ -302,7 +304,10 @@ def coverage_bound_check(graph, delta, msvc_value=None):
         if n > DP_MAX_VERTICES:
             raise ValueError(f"exact solve needs n <= {DP_MAX_VERTICES}; supply msvc_value")
         table = inside_weight_table(graph)
-        msvc_value = msvc_exact_dp(graph, table=table).value
+    subset = max_kvc(graph, n // 2, mode="exact", table=table)
+    if table is not None:
+        # Max-k-VC has read the table; the DP overwrites it
+        msvc_value = _exact_dp_in_place(graph, table).value
 
     total = graph.total_weight()
     norm = msvc_value / (n * total)
@@ -318,7 +323,6 @@ def coverage_bound_check(graph, delta, msvc_value=None):
     elif not 0.0 < fitted < 1.0 / 16.0:
         reason = f"fitted delta {fitted:.6f} outside (0, 1/16)"
 
-    subset = max_kvc(graph, n // 2, mode="exact", table=table)
     coverage = covered_weight(graph, subset)
     target = (1.0 - math.sqrt(delta)) * total
     return CoverageBoundReport(

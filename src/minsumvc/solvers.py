@@ -72,10 +72,17 @@ def msvc_exact_dp(graph, *, table=None):
     n = graph.n
     if n > DP_MAX_VERTICES:
         raise ValueError(f"exact DP limited to n <= {DP_MAX_VERTICES}, got {n}")
+    return _exact_dp_in_place(graph, inside_weight_table(graph) if table is None else table.copy())
+
+
+def _exact_dp_in_place(graph, table):
+    """msvc_exact_dp on table = inside_weight_table(graph), which f overwrites.
+
+    For callers that are done with the table: it is left holding f, not W.
+    """
+    n = graph.n
     if n == 0:
         return SolveResult(0.0, Ordering(()), "exact-dp")
-    table = inside_weight_table(graph) if table is None else table.copy()
-
     full = (1 << n) - 1
     inside_all = table[full]  # W(V, V), in the slot of f(0)
     lo = min(n, _LOW_BITS)
@@ -164,6 +171,12 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
     table = inside_weight_table(graph) while n <= DP_MAX_VERTICES, and
     returns a true maximizer; mode="local-search" runs steepest-swap hill
     climbing from seeded random starts.  Returns a sorted vertex tuple.
+
+    On ties the two exact paths may differ.  Up to DP_MAX_VERTICES (24)
+    vertices the table scan returns the least mask among the maximizers
+    (bit v is vertex v).  Above it, the enumeration returns the first subset
+    in combinations order that covers over 1e-15 more than every subset
+    before it.  With a unique maximum both return it.
 
     Swapping x in S for y outside it gains (row[y] - into[y]) - (row[x] -
     into[x]) + a[x, y], with a the pair weights, row its row sums and into[v]

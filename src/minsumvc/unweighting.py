@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _distinct
 
 RETRY_BUDGET = 64
 EXHAUSTIVE_MAX_M = 12
@@ -361,7 +361,7 @@ def unweight(graph, m, eps, seed):
     """
     eps = Fraction(eps)
     u, v, w = graph.edge_arrays()
-    for we in np.unique(w):
+    for we in _distinct(w):
         GadgetSpec(m, float(we), eps, 0)
     src, dst, results = [], [], []
     for idx in range(graph.m):
@@ -384,12 +384,12 @@ def unweight(graph, m, eps, seed):
         out = WeightedGraph.from_arrays(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
     degrees = out.degrees()
-    hist_vals, hist_counts = np.unique(degrees, return_counts=True)
+    counts = np.bincount(degrees)
     report = UnweightReport(
         m=m,
         eps=eps,
         gadgets=tuple(results),
-        degree_histogram={int(d): int(c) for d, c in zip(hist_vals, hist_counts)},
+        degree_histogram={int(d): int(counts[d]) for d in np.flatnonzero(counts)},
         degree_spread=int(degrees.max() - degrees.min()) if n else 0,
         input_total_weight=graph.total_weight(),
         output_edge_count=out.m,

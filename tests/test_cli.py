@@ -15,6 +15,7 @@ from minsumvc import (
     WeightedGraph,
     build_long_code_graph,
     complete_graph,
+    figure1_config,
     load_graph,
     load_hardness_config,
     random_affine_instance,
@@ -24,6 +25,7 @@ from minsumvc import (
     save_labels,
     save_ug,
 )
+from minsumvc import hardness
 from minsumvc.cli import main
 
 
@@ -349,6 +351,29 @@ def test_stdout_identical_on_one_cpu_and_on_all(tmp_path):
         assert (one_manifest["workers"], all_manifest["workers"]) == (1, cpus)
 
 
+def test_hardness_optimize_after_composite_prints_its_fresh_process_bytes(capsys, monkeypatch):
+    # the composite run leaves figure 1's profile pairs in the memo, so the
+    # optimize run builds only the rhos its candidates move to
+    optimize = ["hardness", "optimize", "--budget", "3", "--steps", "2000"]
+    fresh_out, _ = _run_child(optimize, pin=False)
+    built = []
+    soundness_profile = hardness.soundness_profile
+
+    def counting_soundness(rho, eps, g):
+        built.append(rho)
+        return soundness_profile(rho, eps, g)
+
+    monkeypatch.setattr(hardness, "_profile_memo", {})
+    monkeypatch.setattr(hardness, "soundness_profile", counting_soundness)
+    assert run_cli(capsys, "hardness", "composite", "--steps", "2000")[0] == 0
+    distinct = len(set(figure1_config().rhos.tolist()))
+    assert len(built) == distinct
+    code, out, _ = run_cli(capsys, *optimize)
+    assert code == 0
+    assert out.encode() == fresh_out
+    assert len(built) == len(set(built)) == distinct + 2
+
+
 def test_solve_reads_a_graph_from_a_pipe(tmp_path):
     path = tmp_path / "g.graph"
     save_graph(random_weighted_graph(12, 0.4, 7), path)
@@ -376,43 +401,59 @@ def test_solve_reads_a_graph_from_a_pipe(tmp_path):
 
 
 # Runs CLI commands in one fresh interpreter and reports, after the import
-# and after each command, whether scipy has been loaded.
-_SCIPY_PROBE_CHILD = """
+# and after each command, whether a module has been loaded.
+_MODULE_PROBE_CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, {src!r})
 import minsumvc.cli
-seen = [["import", 0, "scipy" in sys.modules]]
+seen = [["import", 0, {module!r} in sys.modules]]
 for argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = minsumvc.cli.main(argv)
-    seen.append([" ".join(argv[:2]), code, "scipy" in sys.modules])
+    seen.append([" ".join(argv[:2]), code, {module!r} in sys.modules])
 print(json.dumps(seen))
 """
 
 
-def test_only_the_copula_commands_load_scipy(tmp_path):
+def _probe_module(module, runs):
+    src = str(Path(minsumvc.__file__).resolve().parent.parent)
+    code = _MODULE_PROBE_CHILD.format(src=src, module=module, runs=runs)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=120)
+    return json.loads(proc.stdout)
+
+
+def _reduction_and_unweight_runs(tmp_path):
     inst, lab = random_affine_instance(2, 3, 2, seed=0)
-    ug, labels, red, edge, small = (
-        tmp_path / name for name in ("i.ug", "i.labels", "red.graph", "edge.graph", "g.graph")
-    )
+    ug, labels, red, edge = (tmp_path / name for name in ("i.ug", "i.labels", "red.graph", "edge.graph"))
     save_ug(inst, ug)
     save_labels(lab, labels)
     save_graph(WeightedGraph(2, [(0, 1, 0.5)]), edge)
-    save_graph(random_weighted_graph(8, 0.5, 3), small)
-    runs = [
+    return [
         ["reduce", "build", "--input", str(ug), "--rho", "-0.5", "--out", str(red)],
         ["reduce", "verify", "--input", str(ug), "--graph", str(red), "--rho", "-0.5"],
         ["reduce", "order", "--input", str(ug), "--labels", str(labels), "--rho", "-0.5"],
         ["unweight", "--input", str(edge), "--m", "8", "--eps", "1/4", "--out", str(tmp_path / "u.graph")],
+    ]
+
+
+def test_only_the_copula_commands_load_scipy(tmp_path):
+    small = tmp_path / "g.graph"
+    save_graph(random_weighted_graph(8, 0.5, 3), small)
+    runs = _reduction_and_unweight_runs(tmp_path) + [
         ["solve", "--method", "exact", "--input", str(small)],
         ["hardness", "single", "--rho", "-0.52"],
         ["regular", "counterexample", "--p", "1", "--q", "10", "--verify"],
         ["regular", "ratio"],
         ["hardness", "composite", "--steps", "2000"],
     ]
-    src = str(Path(minsumvc.__file__).resolve().parent.parent)
-    code = _SCIPY_PROBE_CHILD.format(src=src, runs=runs)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=120)
-    seen = json.loads(proc.stdout)
+    seen = _probe_module("scipy", runs)
     assert [step[1] for step in seen] == [0] * len(seen)
     assert [step[2] for step in seen] == [False] * (len(seen) - 1) + [True], seen
+
+
+def test_reduction_and_unweight_do_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the writer, verify_reduction
+    # and unweight take distinct values without it
+    runs = _reduction_and_unweight_runs(tmp_path)
+    seen = _probe_module("numpy.ma", runs)
+    assert seen == [["import", 0, False]] + [[" ".join(argv[:2]), 0, False] for argv in runs]

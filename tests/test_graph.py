@@ -220,6 +220,19 @@ def test_parallel_map_runs_short_lists_without_a_pool(monkeypatch):
         graph_module._parallel_map(lambda x: 2 * x, [3, 4])
 
 
+def test_distinct_matches_np_unique():
+    rng = np.random.default_rng(4)
+    cases = [np.empty(0), np.array([7], dtype=np.int64), np.array([0.0, -0.0, 2.0, 0.0, -0.0])]
+    for size in (2, 10, 1000):
+        cases.append(rng.integers(0, 5, size))
+        cases.append(rng.choice([0.5, 0.25, -1.0], size))
+        cases.append(rng.random(size).view(np.uint64))
+    for values in cases:
+        got, expected = graph_module._distinct(values), np.unique(values)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8)), values
+
+
 def test_min_subset_density_exhaustive_and_witness():
     from itertools import combinations
 

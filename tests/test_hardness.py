@@ -280,29 +280,107 @@ def test_greedy_schedule_matches_step_loop_on_nonconcave_profiles():
         _assert_same_schedule(alphas, profiles, per_graph)
 
 
-def test_composite_profiles_built_in_threads_match_serial_build(monkeypatch):
-    # a repeated rho and a pre-seeded cache entry: only the missing keys are
-    # built, and the cache keeps first-seen order
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture
+def soundness_builds(monkeypatch):
+    """An empty profile memo for the test, and the (rho, eps, g) of each soundness profile built."""
+    built = []
+
+    def counting_soundness(rho, eps=0.0, g=12):
+        built.append((rho, eps, g))
+        return soundness_profile(rho, eps, g)
+
+    monkeypatch.setattr(hardness, "_profile_memo", {})
+    monkeypatch.setattr(hardness, "soundness_profile", counting_soundness)
+    return built
+
+
+def test_composite_profiles_built_in_threads_match_serial_build(monkeypatch, soundness_builds):
+    # a repeated rho is built once; a pair built on two threads has the
+    # bits of one built on one
     cfg = HardnessConfig(((1.0, -0.3), (2.0, -0.7), (0.5, -0.3), (1.5, -0.1), (1.0, -0.9)))
+    keys = [(rho, 0.0, 0.0, 12) for rho in (-0.3, -0.7, -0.1, -0.9)]
 
     def run():
-        cache = {(-0.1, 0.0, 0.0, 12): (completeness_profile(-0.1), soundness_profile(-0.1))}
-        return composite_ratio(cfg, steps=5000, cache=cache), cache
+        hardness._profile_memo.clear()
+        soundness_builds.clear()
+        rep = composite_ratio(cfg, steps=5000)
+        assert sorted(soundness_builds) == sorted((rho, 0.0, 12) for rho, _, _, _ in keys)
+        assert list(hardness._profile_memo) == keys
+        return rep, [hardness._profile_memo[key] for key in keys]
 
-    threaded, threaded_cache = run()
+    monkeypatch.setattr("minsumvc.graph._workers", lambda: 2)
+    threaded, threaded_pairs = run()
     monkeypatch.setattr(hardness, "_parallel_map", lambda fn, items: list(map(fn, items)))
-    serial, serial_cache = run()
-    assert list(threaded_cache) == list(serial_cache) == [
-        (rho, 0.0, 0.0, 12) for rho in (-0.1, -0.3, -0.7, -0.9)
-    ]
-    for key, (c, s) in threaded_cache.items():
-        assert np.array_equal(c.grid, serial_cache[key][0].grid)
-        assert np.array_equal(s.grid, serial_cache[key][1].grid)
+    serial, serial_pairs = run()
+    for (c, s), (serial_c, serial_s) in zip(threaded_pairs, serial_pairs):
+        assert _same_bits(c.grid, serial_c.grid)
+        assert _same_bits(s.grid, serial_s.grid)
     assert threaded.completeness_value == serial.completeness_value
     assert threaded.soundness_value == serial.soundness_value
     assert threaded.ratio == serial.ratio
     assert np.array_equal(threaded.completeness_schedule, serial.completeness_schedule)
     assert np.array_equal(threaded.soundness_schedule, serial.soundness_schedule)
+
+
+def test_composite_memo_builds_each_profile_pair_once_per_key(soundness_builds):
+    built = soundness_builds
+    cfg = HardnessConfig(((1.0, -0.3), (2.0, -0.7), (0.5, -0.3)))
+    cold = composite_ratio(cfg, steps=5000)
+    assert sorted(built) == [(-0.7, 0.0, 12), (-0.3, 0.0, 12)]
+
+    # another steps count, and the same one again, build nothing
+    built.clear()
+    composite_ratio(cfg, steps=8000)
+    warm = composite_ratio(cfg, steps=5000)
+    assert built == []
+    assert (warm.completeness_value, warm.soundness_value) == (cold.completeness_value, cold.soundness_value)
+    assert np.array_equal(warm.soundness_schedule, cold.soundness_schedule)
+
+    # gamma, eps and g are part of the key
+    for kwargs, eps, g in (({"gamma": 0.01}, 0.0, 12), ({"eps": 0.01}, 0.01, 12), ({"g": 10}, 0.0, 10)):
+        built.clear()
+        composite_ratio(cfg, steps=5000, **kwargs)
+        assert sorted(built) == [(-0.7, eps, g), (-0.3, eps, g)], kwargs
+
+
+def test_composite_memo_stays_within_its_bound(soundness_builds):
+    bound = hardness._PROFILE_MEMO_PAIRS
+    rhos = [float(r) for r in np.linspace(-0.95, -0.05, bound + 6)]
+
+    def composite(rhos):
+        soundness_builds.clear()
+        return composite_ratio(HardnessConfig(tuple((1.0, r) for r in rhos)), steps=20 * len(rhos), g=10)
+
+    # a config of exactly the bound's size is built once
+    composite(rhos[6:])
+    assert len(soundness_builds) == bound
+    composite(rhos[6:])
+    assert soundness_builds == []
+
+    # past the bound, the memo keeps the most recently used keys
+    first = composite(rhos)
+    assert sorted(soundness_builds) == [(r, 0.0, 10) for r in rhos[:6]]
+    assert list(hardness._profile_memo) == [(r, 0.0, 0.0, 10) for r in rhos[6:]]
+    # the pairs it dropped are built again, with the same bits
+    again = composite(rhos)
+    assert sorted(soundness_builds) == [(r, 0.0, 10) for r in rhos[:6]]
+    assert len(hardness._profile_memo) == bound
+    assert (again.completeness_value, again.soundness_value) == (first.completeness_value, first.soundness_value)
+
+
+def test_optimize_config_builds_no_key_twice_past_the_memo_bound(monkeypatch, soundness_builds):
+    # the CLI's default budget; the memo drops nothing while the call runs,
+    # so a bound of 4 pairs does not make it rebuild the rhos it revisits,
+    # and it is back within the bound when the call returns
+    monkeypatch.setattr(hardness, "_PROFILE_MEMO_PAIRS", 4)
+    res = optimize_config(figure1_config(), budget=200, steps=2000, g=10)
+    assert res.evaluations == 200
+    assert len(soundness_builds) == len(set(soundness_builds)) > 4 + len(set(figure1_config().rhos.tolist()))
+    assert len(hardness._profile_memo) == 4
 
 
 def test_composite_beats_best_single_on_figure_config():

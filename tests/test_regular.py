@@ -1,6 +1,7 @@
 """Two-phase ratio analysis and the regular-graph counterexample family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ def test_counterexample_checks_build_one_table(monkeypatch):
     params = CounterexampleParams.from_fraction(1, 8)
     graph = counterexample_graph(params)
     # unshared: each solver builds its own table
-    monkeypatch.setattr(regular, "msvc_exact_dp", lambda g, table=None: solvers.msvc_exact_dp(g))
+    monkeypatch.setattr(regular, "_exact_dp_in_place", lambda g, table: solvers.msvc_exact_dp(g))
     monkeypatch.setattr(regular, "max_kvc", lambda g, k, mode, table=None: solvers.max_kvc(g, k, mode))
     unshared = verify_counterexample(params), coverage_bound_check(graph, params.delta)
     monkeypatch.undo()
@@ -280,6 +281,24 @@ def test_counterexample_checks_build_one_table(monkeypatch):
     calls.clear()
     assert coverage_bound_check(graph, params.delta) == unshared[1]
     assert calls == [params.n]
+
+
+def test_counterexample_checks_hold_one_table(monkeypatch):
+    # Max-k-VC and the cover number read the table, then the DP overwrites
+    # it: no copy.  The DP's row tasks add a working set per thread, so fix
+    # two threads.
+    monkeypatch.setattr("minsumvc.graph._workers", lambda: 2)
+    params = CounterexampleParams.from_fraction(1, 10, 2)
+    graph = counterexample_graph(params)
+    assert params.n == 20
+    for check in (lambda: verify_counterexample(params), lambda: coverage_bound_check(graph, params.delta)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 << params.n) <= 1.6
 
 
 def test_coverage_bound_applicable_on_counterexample():

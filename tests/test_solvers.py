@@ -245,6 +245,24 @@ def test_max_kvc_blocks_match_the_per_subset_loop(monkeypatch):
     assert max_kvc(g, 1, mode="exact") == max_kvc_loop(g, 1) == (0,)
 
 
+def test_max_kvc_table_scan_and_enumeration_agree_on_a_unique_maximum(monkeypatch):
+    # both exact paths, on the k where the best subset leads the next by
+    # more than the enumeration's 1e-15 margin
+    checked = 0
+    for n in range(4, 12):
+        g = random_weighted_graph(n, 0.5, 100 + n)
+        for k in range(1, n):
+            cov = sorted(covered_weight(g, c) for c in combinations(range(n), k))
+            if cov[-1] - cov[-2] <= 1e-9:
+                continue
+            monkeypatch.setattr(solvers, "DP_MAX_VERTICES", 24)
+            by_table = max_kvc(g, k, mode="exact")
+            monkeypatch.setattr(solvers, "DP_MAX_VERTICES", 0)
+            assert max_kvc(g, k, mode="exact") == by_table, (n, k)
+            checked += 1
+    assert checked >= 20
+
+
 def test_local_search_matches_recompute_reference():
     # unit and dyadic weights keep coverage sums exact
     rng = np.random.default_rng(37)
