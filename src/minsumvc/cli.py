@@ -121,11 +121,11 @@ def _common_flags(sub):
 
 def _cmd_gaussian_gamma(args):
     value = gaussian_copula(args.rho, args.x, args.y)
-    return {"rho": args.rho, "x": args.x, "y": args.y, "value": value}, []
+    return {"rho": args.rho, "x": args.x, "y": args.y, "value": value}
 
 
 def _cmd_gaussian_integral(args):
-    return {"rho": args.rho, "value": copula_diag_integral(args.rho)}, []
+    return {"rho": args.rho, "value": copula_diag_integral(args.rho)}
 
 
 def _cmd_solve(args):
@@ -140,21 +140,21 @@ def _cmd_solve(args):
         res = msvc_two_phase(graph, seed=args.seed)
     payload = {"value": res.value, "ordering": list(res.ordering), "method": res.method}
     if args.method == "exact":
-        return payload, [args.input], {"workers": _workers()}
-    return payload, [args.input]
+        return payload, {"workers": _workers()}
+    return payload
 
 
 def _cmd_hardness_single(args):
-    return {"rho": args.rho, "ratio": round(single_ratio(args.rho), 6)}, []
+    return {"rho": args.rho, "ratio": round(single_ratio(args.rho), 6)}
+
+
+def _config(args):
+    """The config file of --config, or the bundled figure-1 family."""
+    return load_hardness_config(args.config) if args.config else figure1_config()
 
 
 def _cmd_hardness_composite(args):
-    inputs = []
-    if args.config:
-        cfg = load_hardness_config(args.config)
-        inputs.append(args.config)
-    else:
-        cfg = figure1_config()
+    cfg = _config(args)
     rep = composite_ratio(cfg, steps=args.steps)
     payload = {
         "k": cfg.k,
@@ -163,17 +163,11 @@ def _cmd_hardness_composite(args):
         "soundness_value": rep.soundness_value,
         "ratio": round(rep.ratio, 6),
     }
-    return payload, inputs, {"workers": _workers()}
+    return payload, {"workers": _workers()}
 
 
 def _cmd_hardness_optimize(args):
-    inputs = []
-    if args.config:
-        cfg = load_hardness_config(args.config)
-        inputs.append(args.config)
-    else:
-        cfg = figure1_config()
-    res = optimize_config(cfg, budget=args.budget, steps=args.steps)
+    res = optimize_config(_config(args), budget=args.budget, steps=args.steps)
     if args.out:
         save_hardness_config(res.config, args.out)
     payload = {
@@ -183,7 +177,7 @@ def _cmd_hardness_optimize(args):
         "ratio": round(res.ratio, 6),
         "pairs": [[a, r] for a, r in res.config.pairs],
     }
-    return payload, inputs, {"workers": _workers()}
+    return payload, {"workers": _workers()}
 
 
 def _cmd_reduce_build(args):
@@ -199,14 +193,14 @@ def _cmd_reduce_build(args):
         "loop_mass_dropped": rep.loop_mass_total,
         "passed": rep.passed,
     }
-    return payload, [args.input]
+    return payload
 
 
 def _cmd_reduce_verify(args):
     inst = load_ug(args.input)
     graph = load_graph(args.graph)
     rep = verify_reduction(graph, inst, args.rho)
-    return asdict(rep), [args.input, args.graph]
+    return asdict(rep)
 
 
 def _cmd_reduce_order(args):
@@ -220,7 +214,7 @@ def _cmd_reduce_order(args):
         payload["svc"] = value
         payload["normalized"] = value / (graph.n * graph.total_weight())
         payload["completeness_bound"] = 1.0 / (3.0 - args.rho) + 2.0 ** (-inst.alphabet)
-    return payload, [args.input, args.labels]
+    return payload
 
 
 def _cmd_unweight(args):
@@ -259,7 +253,7 @@ def _cmd_unweight(args):
             json.dump(_clean(report), fh, indent=2)
             fh.write("\n")
     certificates = Counter(g.subset_check.mode for g in rep.gadgets)
-    return payload, [args.input], {"certificates": dict(sorted(certificates.items()))}
+    return payload, {"certificates": dict(sorted(certificates.items()))}
 
 
 def _cmd_regular_ratio(args):
@@ -276,7 +270,7 @@ def _cmd_regular_ratio(args):
         "optimal_ratio": analysis.optimal_ratio,
         "branch_gap": analysis.branch_gap,
     }
-    return payload, []
+    return payload
 
 
 def _cmd_regular_counterexample(args):
@@ -310,7 +304,7 @@ def _cmd_regular_counterexample(args):
             "uncovered_after_half": rep.uncovered_after_half,
             "vertex_cover_number": rep.vertex_cover_number,
         }
-    return payload, []
+    return payload
 
 
 def build_parser():
@@ -475,10 +469,12 @@ def main(argv=None):
     }
     _digests.clear()
     try:
-        payload, inputs, *extra = args.handler(args)
-        manifest["input_digests"] = {path: _digests[path] for path in inputs}
-        manifest.update(*extra)
-    except (ValueError, OSError, RuntimeError, AssertionError) as exc:
+        payload = args.handler(args)
+        if isinstance(payload, tuple):  # (payload, manifest entries)
+            payload, extra = payload
+            manifest.update(extra)
+        manifest["input_digests"] = dict(_digests)
+    except (ValueError, OSError, RuntimeError, AssertionError, ZeroDivisionError) as exc:
         manifest["wall_time_s"] = round(time.perf_counter() - start, 6)
         manifest["error"] = str(exc)
         print(json.dumps(manifest), file=sys.stderr)

@@ -23,16 +23,16 @@ i.e. the average cover time; the ratio is soundness over completeness.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .gaussian import copula_diag_grid
-from .graph import _load_records, _parallel_map, _read_records, _RecordFormat, _save_records, _write_records
+from .graph import (
+    _first_problem, _load_records, _parallel_map, _read_records, _RecordFormat, _save_records, _write_records,
+)
 
 CONFIG_MAGIC = "msvc-hardness 1"
 
@@ -55,8 +55,8 @@ class CoverProfile:
         size = grid.size
         if size < 3 or (size - 1) & (size - 2):
             raise ValueError("profile needs 2^g + 1 nodes")
-        if np.any(grid < -1e-12) or np.any(grid > 1.0 + 1e-12):
-            raise ValueError("profile values must lie in [0, 1]")
+        if not np.all((grid >= -1e-12) & (grid <= 1.0 + 1e-12)):
+            raise ValueError("profile values must be finite and lie in [0, 1]")
         if np.any(np.diff(grid) < -1e-12):
             raise ValueError("profile must be nondecreasing")
         grid = np.clip(grid, 0.0, 1.0)
@@ -82,6 +82,11 @@ def _check_rho(rho):
         raise ValueError(f"rho must lie in (-1, 0], got {rho}")
 
 
+def _check_slack(name, value):
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
+
+
 def completeness_limit(rho, gamma=0.0):
     """Fixed point of t <- 1/4 + ((1+rho)/4) t + ((1-rho)/4) gamma.
 
@@ -91,8 +96,7 @@ def completeness_limit(rho, gamma=0.0):
     ordering.
     """
     _check_rho(rho)
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    _check_slack("gamma", gamma)
     return (1.0 + (1.0 - rho) * gamma) / (3.0 - rho)
 
 
@@ -121,8 +125,7 @@ def completeness_profile(rho, gamma=0.0, depth=60, g=12):
     grid nodes exactly.
     """
     _check_rho(rho)
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    _check_slack("gamma", gamma)
     if g < 10:
         raise ValueError("grid exponent g must be at least 10")
     if depth < 1:
@@ -156,8 +159,7 @@ def completeness_profile(rho, gamma=0.0, depth=60, g=12):
 def soundness_profile(rho, eps=0.0, g=12):
     """Sample the soundness coverage cap s(t) = 1 - C_rho(1-t, 1-t) + eps."""
     _check_rho(rho)
-    if eps < 0.0:
-        raise ValueError("eps must be non-negative")
+    _check_slack("eps", eps)
     t = np.linspace(0.0, 1.0, (1 << g) + 1)
     s = 1.0 - copula_diag_grid(rho, 1.0 - t) + eps
     return CoverProfile(np.clip(s, 0.0, 1.0), "soundness-s")
@@ -198,6 +200,10 @@ _CONFIG_FORMAT = _RecordFormat(
     np.dtype([("alpha", np.float64), ("rho", np.float64)]),
     ConfigFormatError,
     build=lambda header, fields: HardnessConfig(tuple(zip(*(f.tolist() for f in fields)))),
+    check=lambda header, fields: _first_problem({
+        "alpha must be positive and finite": ~(np.isfinite(fields[0]) & (fields[0] > 0.0)),
+        "rho must lie in (-1, 0]": ~((fields[1] > -1.0) & (fields[1] <= 0.0)),
+    }),
     float_text="{:.10g}".format,
 )
 
@@ -270,82 +276,39 @@ def _greedy_schedule(alphas, profiles, per_graph):
     return value, trace
 
 
-# Profile pairs kept between calls, keyed (rho, gamma, eps, g), least
-# recently used first; about 65.5 KB per pair at g = 12.  Figure 1 has 50
-# distinct rhos, so `hardness composite` then `hardness optimize` in one
-# process builds them once.  While an optimize_config call runs, the memo
-# drops nothing (a default run on figure 1 uses 113 keys), so the bound
-# never makes it build a key twice.
-_PROFILE_MEMO_PAIRS = 64
+# Profile pairs built in this process, keyed (rho, gamma, eps, g), in the
+# order first built; about 65.5 KB per pair at g = 12.  Nothing is dropped,
+# so `hardness composite` then `hardness optimize` in one process, and all
+# the evaluations of one optimize_config call, build each key once.  With
+# no entry ever dropped, concurrent calls need no lock: at worst both build
+# a key and store pairs of equal bits.
 _profile_memo = {}
-_profile_memo_lock = threading.Lock()
-_profile_memo_holds = 0
 
 
-def _trim_profile_memo():
-    """Drop the oldest pairs past the bound unless a call holds the memo; takes the lock held."""
-    if not _profile_memo_holds:
-        while len(_profile_memo) > _PROFILE_MEMO_PAIRS:
-            del _profile_memo[next(iter(_profile_memo))]
-
-
-@contextlib.contextmanager
-def _profile_memo_held():
-    """Keep every pair in the memo until the block ends, then trim it to its bound."""
-    global _profile_memo_holds
-    with _profile_memo_lock:
-        _profile_memo_holds += 1
-    try:
-        yield
-    finally:
-        with _profile_memo_lock:
-            _profile_memo_holds -= 1
-            _trim_profile_memo()
-
-
-def _profile_pairs(keys):
-    """The (completeness, soundness) profile pair of each distinct key.
-
-    Keys the memo holds are read from it; only the others are built, on
-    one thread per CPU (graph._parallel_map), each exactly as on one
-    thread, so the bits depend on neither the CPU count nor what the
-    memo held.  All the keys then become the memo's newest entries.
-    """
-    keys = list(dict.fromkeys(keys))
-    with _profile_memo_lock:
-        pairs = {key: _profile_memo[key] for key in keys if key in _profile_memo}
-    missing = [key for key in keys if key not in pairs]
-    built = _parallel_map(
-        lambda key: (completeness_profile(key[0], key[1], g=key[3]), soundness_profile(key[0], key[2], g=key[3])),
-        missing,
-    )
-    pairs.update(zip(missing, built))
-    with _profile_memo_lock:
-        for key in keys:
-            _profile_memo.pop(key, None)
-            _profile_memo[key] = pairs[key]
-        _trim_profile_memo()
-    return pairs
+def _build_pair(key):
+    rho, gamma, eps, g = key
+    return completeness_profile(rho, gamma, g=g), soundness_profile(rho, eps, g=g)
 
 
 def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12):
     """Greedy-scheduled soundness/completeness ratio of a composite config.
 
-    The profile pair of each distinct (rho, gamma, eps, g) comes from one
-    process-wide memo of the _PROFILE_MEMO_PAIRS most recently used
-    pairs, so later calls (another steps count, other configs sharing
-    rhos) build only the pairs not in it.  The missing pairs are built on
-    one thread per CPU (graph._parallel_map), each exactly as on one
-    thread, so the bits depend on neither the CPU count nor what the
-    memo held.
+    The profile pair of each distinct (rho, gamma, eps, g) is built once
+    per process and kept in _profile_memo, so later calls (another steps
+    count, other configs sharing rhos) build only the pairs not in it.
+    Those are built on one thread per CPU (graph._parallel_map), each
+    exactly as on one thread, so the bits depend on neither the CPU count
+    nor what the memo held.
     """
     if steps < 1000:
         raise ValueError("steps must be at least 1000")
     per_graph = max(1, round(steps / cfg.k))
     alphas = cfg.alphas
 
-    pairs = _profile_pairs((rho, gamma, eps, g) for _, rho in cfg.pairs)
-    c_profiles, s_profiles = zip(*(pairs[rho, gamma, eps, g] for _, rho in cfg.pairs))
+    keys = [(rho, gamma, eps, g) for _, rho in cfg.pairs]
+    missing = [key for key in dict.fromkeys(keys) if key not in _profile_memo]
+    _profile_memo.update(zip(missing, _parallel_map(_build_pair, missing)))
+    c_profiles, s_profiles = zip(*(_profile_memo[key] for key in keys))
 
     c_value, c_trace = _greedy_schedule(alphas, c_profiles, per_graph)
     s_value, s_trace = _greedy_schedule(alphas, s_profiles, per_graph)
@@ -371,104 +334,85 @@ class OptimizeResult:
     evaluations: int
 
 
+class _BudgetSpent(Exception):
+    """optimize_config has spent its evaluation budget."""
+
+
 def optimize_config(seed_cfg, budget, steps=20000, g=12):
     """Coordinate grid refinement then finite-difference ascent on the ratio.
 
     budget caps composite_ratio evaluations; only improving moves are
     accepted, so the result never scores below seed_cfg.  Deterministic.
-    The evaluations take their profiles from composite_ratio's memo,
-    which drops no pair until the call returns, so each rho's profiles
-    are built at most once per call, and not at all if the memo holds
-    them (as after composite_ratio on seed_cfg).
+    The evaluations take their profiles from composite_ratio's memo, so
+    each rho's profiles are built at most once per process, and not at all
+    if the memo holds them (as after composite_ratio on seed_cfg).
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    with _profile_memo_held():
-        return _optimize_config(seed_cfg, budget, steps, g)
+    evaluations = 0
 
+    def evaluate(cand):
+        nonlocal evaluations
+        if evaluations == budget:
+            raise _BudgetSpent
+        evaluations += 1
+        return composite_ratio(HardnessConfig(tuple(cand)), steps, g=g).ratio
 
-def _optimize_config(seed_cfg, budget, steps, g):
-    """The search of optimize_config."""
-    state = {"evals": 0}
+    def offer(cand):
+        """Move to cand if it beats the best ratio by over 1e-12; whether it did."""
+        nonlocal pairs, best
+        val = evaluate(cand)
+        if val > best + 1e-12:
+            pairs, best = cand, val
+            return True
+        return False
 
-    def evaluate(pairs):
-        if state["evals"] >= budget:
-            return None
-        state["evals"] += 1
-        return composite_ratio(HardnessConfig(tuple(pairs)), steps, g=g).ratio
-
-    def result(pairs, best):
-        cfg = HardnessConfig(tuple(tuple(p) for p in pairs))
-        return OptimizeResult(cfg, best, state["evals"])
+    def step(size):
+        """The current pairs moved size along direction."""
+        cand = [p[:] for p in pairs]
+        for i in range(k):
+            cand[i][0] *= float(np.exp(size * direction[2 * i]))
+            cand[i][1] = min(RHO_MAX, max(RHO_MIN, cand[i][1] + size * direction[2 * i + 1]))
+        return cand
 
     pairs = [list(p) for p in seed_cfg.pairs]
     best = evaluate(pairs)
     k = len(pairs)
-
-    # coordinate refinement, shrinking step sizes
-    for delta in (0.08, 0.04, 0.02, 0.01, 0.005):
-        for i in range(k):
-            for sign in (+1, -1):
-                cand = [p[:] for p in pairs]
-                cand[i][1] = min(RHO_MAX, max(RHO_MIN, cand[i][1] + sign * delta))
-                val = evaluate(cand)
-                if val is None:
-                    return result(pairs, best)
-                if val > best + 1e-12:
-                    pairs, best = cand, val
-            if k > 1:
-                for factor in (1.0 + 2.0 * delta, 1.0 / (1.0 + 2.0 * delta)):
-                    cand = [p[:] for p in pairs]
-                    cand[i][0] *= factor
-                    val = evaluate(cand)
-                    if val is None:
-                        return result(pairs, best)
-                    if val > best + 1e-12:
-                        pairs, best = cand, val
-
-    # finite-difference gradient ascent on (log alpha_i, rho_i)
-    h = 1e-3
-    while True:
-        grad = np.zeros(2 * k)
-        stop = False
-        for i in range(k):
-            for d, slot in ((0, 2 * i), (1, 2 * i + 1)):
-                hi = [p[:] for p in pairs]
-                lo = [p[:] for p in pairs]
-                if d == 0:
-                    hi[i][0] *= np.exp(h)
-                    lo[i][0] *= np.exp(-h)
-                else:
-                    hi[i][1] = min(RHO_MAX, hi[i][1] + h)
-                    lo[i][1] = max(RHO_MIN, lo[i][1] - h)
-                vh, vl = evaluate(hi), evaluate(lo)
-                if vh is None or vl is None:
-                    stop = True
-                    break
-                grad[slot] = (vh - vl) / (2 * h)
-            if stop:
-                break
-        if stop:
-            break
-        norm = float(np.linalg.norm(grad))
-        if norm < 1e-12:
-            break
-        direction = grad / norm
-        moved = False
-        for step_size in (0.1, 0.03, 0.01, 0.003, 0.001):
-            cand = [p[:] for p in pairs]
+    try:
+        # coordinate refinement, shrinking step sizes
+        for delta in (0.08, 0.04, 0.02, 0.01, 0.005):
             for i in range(k):
-                cand[i][0] *= float(np.exp(step_size * direction[2 * i]))
-                cand[i][1] = min(RHO_MAX, max(RHO_MIN, cand[i][1] + step_size * direction[2 * i + 1]))
-            val = evaluate(cand)
-            if val is None:
-                stop = True
-                break
-            if val > best + 1e-12:
-                pairs, best = cand, val
-                moved = True
-                break
-        if stop or not moved:
-            break
+                for sign in (+1, -1):
+                    cand = [p[:] for p in pairs]
+                    cand[i][1] = min(RHO_MAX, max(RHO_MIN, cand[i][1] + sign * delta))
+                    offer(cand)
+                if k > 1:
+                    for factor in (1.0 + 2.0 * delta, 1.0 / (1.0 + 2.0 * delta)):
+                        cand = [p[:] for p in pairs]
+                        cand[i][0] *= factor
+                        offer(cand)
 
-    return result(pairs, best)
+        # finite-difference gradient ascent on (log alpha_i, rho_i)
+        h = 1e-3
+        while True:
+            grad = np.zeros(2 * k)
+            for i in range(k):
+                for d in (0, 1):
+                    hi = [p[:] for p in pairs]
+                    lo = [p[:] for p in pairs]
+                    if d == 0:
+                        hi[i][0] *= np.exp(h)
+                        lo[i][0] *= np.exp(-h)
+                    else:
+                        hi[i][1] = min(RHO_MAX, hi[i][1] + h)
+                        lo[i][1] = max(RHO_MIN, lo[i][1] - h)
+                    grad[2 * i + d] = (evaluate(hi) - evaluate(lo)) / (2 * h)
+            norm = float(np.linalg.norm(grad))
+            if norm < 1e-12:
+                break
+            direction = grad / norm
+            if not any(offer(step(size)) for size in (0.1, 0.03, 0.01, 0.003, 0.001)):
+                break
+    except _BudgetSpent:
+        pass
+    return OptimizeResult(HardnessConfig(tuple(tuple(p) for p in pairs)), best, evaluations)

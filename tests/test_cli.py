@@ -283,6 +283,21 @@ def test_computation_error_returns_one(tmp_path, capsys):
     assert "brute force limited" in manifest_of(err)["error"]
 
 
+@pytest.mark.parametrize("eps", ["1/0", "abc"])
+def test_unweight_bad_eps_returns_one_with_manifest(tmp_path, capsys, eps):
+    path = tmp_path / "edge.graph"
+    save_graph(WeightedGraph(2, [(0, 1, 0.5)]), path)
+    out_path = tmp_path / "u.graph"
+    code, out, err = run_cli(
+        capsys, "unweight", "--input", str(path), "--m", "8", "--eps", eps, "--out", str(out_path)
+    )
+    assert (code, out) == (1, "")
+    manifest = manifest_of(err)
+    assert manifest["parameters"]["eps"] == eps
+    assert err.splitlines()[1] == f"error: {manifest['error']}"
+    assert not out_path.exists()
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "bogus", "--input", "x"])

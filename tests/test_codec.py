@@ -218,7 +218,7 @@ TABLES = {
            [b"0 x 1", b"0 0", b"3 0 1", b"0 0 3", b"0 2 1"]),
     "config": (parse_hardness_config, load_hardness_config, _CONFIG_FORMAT, b"msvc-hardness 1\n%d\n",
                [b"1 -0.5", b"2 -0.25", b"0.5 -0.75", b"3 -0.125", b"1e-3 -0.999", b"4 -0.5"],
-               [b"1 y", b"1", b"1 -0.5 2", b"0 -0.5"]),
+               [b"1 y", b"1", b"1 -0.5 2", b"0 -0.5", b"1 -1.5"]),
 }
 
 

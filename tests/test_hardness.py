@@ -126,6 +126,8 @@ def test_cover_profile_validation():
         CoverProfile(good[::-1].copy(), "completeness-c")
     with pytest.raises(ValueError):
         CoverProfile(good * 1.5, "completeness-c")
+    with pytest.raises(ValueError, match="finite"):
+        CoverProfile([0.0, math.nan, 1.0], "soundness-s")
 
 
 def test_cover_profile_evaluate_and_area():
@@ -166,6 +168,23 @@ def test_soundness_profile_area_is_diagonal_integral():
         assert p.uncovered_area() == pytest.approx(copula_diag_integral(rho), abs=1e-5)
     with pytest.raises(ValueError):
         soundness_profile(-0.5, eps=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+def test_gamma_and_eps_must_be_non_negative_and_finite(soundness_builds, value):
+    cfg = HardnessConfig(((1.0, -0.5), (2.0, -0.3)))
+    calls = (
+        lambda: completeness_limit(-0.5, gamma=value),
+        lambda: completeness_profile(-0.5, gamma=value, g=10),
+        lambda: soundness_profile(-0.5, eps=value, g=10),
+        lambda: composite_ratio(cfg, 2000, gamma=value, g=10),
+        lambda: composite_ratio(cfg, 2000, eps=value, g=10),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="must be non-negative and finite"):
+            call()
+    # nothing that failed is kept
+    assert hardness._profile_memo == {}
 
 
 def test_config_validation_and_properties():
@@ -210,6 +229,12 @@ def test_config_format_errors_carry_line_numbers():
         parse_hardness_config(CONFIG_MAGIC + "\n2\n1 -0.5\n\n1 x\n")
     with pytest.raises(ConfigFormatError, match="line 2"):
         parse_hardness_config(CONFIG_MAGIC + "\n-1\n")
+    for row in ("0 -0.5", "inf -0.5"):
+        with pytest.raises(ConfigFormatError, match="^line 4: alpha must be positive and finite$"):
+            parse_hardness_config(CONFIG_MAGIC + f"\n2\n1 -0.5\n{row}\n")
+    for row in ("1 -1.5", "1 nan"):
+        with pytest.raises(ConfigFormatError, match=r"^line 4: rho must lie in \(-1, 0\]$"):
+            parse_hardness_config(CONFIG_MAGIC + f"\n2\n1 -0.5\n{row}\n")
     two = parse_hardness_config(CONFIG_MAGIC + "\n2\n\n1 -0.5\n\n2 -0.25\n")
     assert two.pairs == ((1.0, -0.5), (2.0, -0.25))
 
@@ -347,40 +372,34 @@ def test_composite_memo_builds_each_profile_pair_once_per_key(soundness_builds):
         assert sorted(built) == [(-0.7, eps, g), (-0.3, eps, g)], kwargs
 
 
-def test_composite_memo_stays_within_its_bound(soundness_builds):
-    bound = hardness._PROFILE_MEMO_PAIRS
-    rhos = [float(r) for r in np.linspace(-0.95, -0.05, bound + 6)]
-
-    def composite(rhos):
-        soundness_builds.clear()
-        return composite_ratio(HardnessConfig(tuple((1.0, r) for r in rhos)), steps=20 * len(rhos), g=10)
-
-    # a config of exactly the bound's size is built once
-    composite(rhos[6:])
-    assert len(soundness_builds) == bound
-    composite(rhos[6:])
-    assert soundness_builds == []
-
-    # past the bound, the memo keeps the most recently used keys
-    first = composite(rhos)
-    assert sorted(soundness_builds) == [(r, 0.0, 10) for r in rhos[:6]]
-    assert list(hardness._profile_memo) == [(r, 0.0, 0.0, 10) for r in rhos[6:]]
-    # the pairs it dropped are built again, with the same bits
-    again = composite(rhos)
-    assert sorted(soundness_builds) == [(r, 0.0, 10) for r in rhos[:6]]
-    assert len(hardness._profile_memo) == bound
-    assert (again.completeness_value, again.soundness_value) == (first.completeness_value, first.soundness_value)
-
-
-def test_optimize_config_builds_no_key_twice_past_the_memo_bound(monkeypatch, soundness_builds):
-    # the CLI's default budget; the memo drops nothing while the call runs,
-    # so a bound of 4 pairs does not make it rebuild the rhos it revisits,
-    # and it is back within the bound when the call returns
-    monkeypatch.setattr(hardness, "_PROFILE_MEMO_PAIRS", 4)
+def test_optimize_config_builds_no_key_twice(soundness_builds):
+    # the CLI's default budget; the memo keeps every pair, so the rhos the
+    # search revisits are not built again
     res = optimize_config(figure1_config(), budget=200, steps=2000, g=10)
     assert res.evaluations == 200
-    assert len(soundness_builds) == len(set(soundness_builds)) > 4 + len(set(figure1_config().rhos.tolist()))
-    assert len(hardness._profile_memo) == 4
+    assert len(soundness_builds) == len(set(soundness_builds)) == 113
+    assert len(hardness._profile_memo) == 113
+
+
+def test_optimize_config_stops_at_its_budget_in_every_phase():
+    # k = 2: 1 + 5 deltas * 2 pairs * 4 moves = 41 coordinate evaluations,
+    # then per ascent round 8 finite differences (hi, lo per slot) and up
+    # to 5 line-search steps; the fourth round's 0.1 step (evaluation 77)
+    # is refused and its 0.03 step (78) taken
+    seed_cfg = HardnessConfig(((1.0, -0.45), (2.0, -0.6)))
+    results = {}
+    for budget in (30, 41, 42, 76, 77, 78):
+        res = results[budget] = optimize_config(seed_cfg, budget=budget, steps=2000, g=10)
+        assert res.evaluations == budget
+        assert composite_ratio(res.config, 2000, g=10).ratio == res.ratio
+    ratios = [res.ratio for res in results.values()]
+    assert ratios == sorted(ratios)
+    # a finite difference never moves the config: stopping between a hi and
+    # its lo (42), or after a refused line-search step (77), keeps the last
+    for before, after in ((41, 42), (76, 77)):
+        assert results[after].config.pairs == results[before].config.pairs
+    assert results[78].ratio > results[77].ratio
+    assert optimize_config(seed_cfg, budget=1000, steps=2000, g=10).evaluations > 78
 
 
 def test_composite_beats_best_single_on_figure_config():
