@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .graph import _digests, _workers, load_graph, save_graph, svc_value
+from . import graph as graph_module
+from .graph import _workers, load_graph, save_graph, svc_value
 from .hardness import (
     composite_ratio,
     figure1_config,
@@ -218,8 +219,11 @@ def _cmd_reduce_order(args):
 
 
 def _cmd_unweight(args):
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--eps must be a fraction p/q with q > 0, got {args.eps!r}") from None
     graph = load_graph(args.input)
-    eps = Fraction(args.eps)
     out, rep = unweight(graph, args.m, eps, args.seed)
     save_graph(out, args.out)
     gadgets = [
@@ -467,19 +471,21 @@ def main(argv=None):
         "input_digests": {},
         "wall_time_s": None,
     }
-    _digests.clear()
+    graph_module._digests = {}
     try:
         payload = args.handler(args)
         if isinstance(payload, tuple):  # (payload, manifest entries)
             payload, extra = payload
             manifest.update(extra)
-        manifest["input_digests"] = dict(_digests)
+        manifest["input_digests"] = graph_module._digests
     except (ValueError, OSError, RuntimeError, AssertionError, ZeroDivisionError) as exc:
         manifest["wall_time_s"] = round(time.perf_counter() - start, 6)
         manifest["error"] = str(exc)
         print(json.dumps(manifest), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        graph_module._digests = None
     _emit(payload, args.format)
     manifest["wall_time_s"] = round(time.perf_counter() - start, 6)
     print(json.dumps(manifest), file=sys.stderr)

@@ -70,18 +70,16 @@ _INV_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def _phi_inv_guess(p):
-    a, b, c, d = _INV_A, _INV_B, _INV_C, _INV_D
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
+def _acklam_tail(q):
+    """Acklam's guess at phi_inv(p) for p < _P_LOW, at q = sqrt(-2 log p); a float or an array."""
+    c, d = _INV_C, _INV_D
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+
+def _acklam_central(q):
+    """Acklam's guess at phi_inv(p) for p between the tails, at q = p - 0.5; a float or an array."""
+    a, b, r = _INV_A, _INV_B, q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
@@ -90,7 +88,12 @@ def phi_inv(p):
     """Inverse standard normal CDF on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError("phi_inv requires 0 < p < 1")
-    x = _phi_inv_guess(p)
+    if p < _P_LOW:
+        x = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
+    elif p > 1.0 - _P_LOW:
+        x = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
+    else:
+        x = _acklam_central(p - 0.5)
     for _ in range(2):
         pdf = phi_pdf(x)
         if pdf <= 0.0:
@@ -106,7 +109,6 @@ def phi_inv_vec(p):
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("phi_inv requires 0 < p < 1")
-    a, b, c, d = _INV_A, _INV_B, _INV_C, _INV_D
     x = np.empty_like(p)
 
     low = p < _P_LOW
@@ -114,18 +116,11 @@ def phi_inv_vec(p):
     mid = ~(low | high)
 
     if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        x[low] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                 ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x[low] = _acklam_tail(np.sqrt(-2.0 * np.log(p[low])))
     if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-        x[high] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                   ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[high])))
     if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        x[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-                 (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+        x[mid] = _acklam_central(p[mid] - 0.5)
 
     for _ in range(2):
         pdf = np.exp(-0.5 * x * x) / SQRT_TAU

@@ -25,9 +25,10 @@ formats (graph, unique games, labels, hardness config): blank lines after
 the header are skipped, row counts must match exactly, and errors name the
 line of the file.  Files are read and written as bytes: a CRLF line end is
 accepted, a bare CR ends no line, and a non-ASCII byte is an error.  A
-table is read a block of lines at a time into columns sized from its
-header, and written a chunk of rows at a time, so neither holds the text
-of the whole file.
+table is read in one pass, a block of lines at a time, into columns sized
+from its header, and written a chunk of rows at a time, so neither holds
+the text of the whole file.  A read that fails scans the text once more,
+line by line, only to number the line it names.
 """
 
 from __future__ import annotations
@@ -319,10 +320,9 @@ def _read_records(data, fmt):
 
     data is a binary stream, or bytes or str (str is encoded); a stream
     that cannot seek, such as a pipe, is read whole first.  Line 1 is the
-    magic line and line 2 the header.  A table is read in blocks of whole
-    lines, each parsed by np.loadtxt and copied into columns allocated
-    from the header's row count.  On any problem the text after the header
-    is read again whole by _read_body, which names the line.
+    magic line and line 2 the header.  The rows are read in one pass and
+    then checked by fmt.check.  Either finds a problem as a row index; only
+    then is the text after the header scanned again, to name the row's line.
     """
     if isinstance(data, str):
         data = data.encode(errors="replace")
@@ -340,13 +340,12 @@ def _read_records(data, fmt):
         raise fmt.error(f"line 2: expected {' '.join(fmt.header)!r}, nonnegative integers")
     start = stream.tell()
     if fmt.columns is None:
-        fields = _read_body(stream.read(), fmt, header)
+        fields, problem = _read_lines(stream, header)
     else:
-        fields = _read_table(stream, fmt.columns, header[-1])
-        if fields is None or (fmt.check and fmt.check(header, fields)):
-            stream.seek(start)
-            _read_body(stream.read(), fmt, header)
-            raise AssertionError("the block read of a table found a problem that the whole read did not")
+        fields, problem = _read_table(stream, fmt.columns, header[-1])
+    problem = problem or (fmt.check and fmt.check(header, fields))
+    if problem:
+        raise fmt.error(f"line {_line_number(stream, start, problem[0])}: {problem[1]}")
     try:
         return fmt.build(header, fields)
     except ValueError as exc:
@@ -354,87 +353,79 @@ def _read_records(data, fmt):
 
 
 def _read_table(stream, columns, count):
-    """The columns of the count table rows left in stream, or None if anything is amiss.
+    """(the columns of the count table rows left in stream, None), or (None, (row, reason)).
 
-    A row takes at least two bytes per column (the last row one less), so
-    a count the remaining bytes cannot hold allocates nothing.
+    Blank lines are skipped and the row count must match exactly; a bad
+    token in a row below count comes first.  A row takes at least two bytes
+    per column (the last row one less), so the columns are no longer than
+    the remaining bytes can fill, whatever count says.
     """
     start = stream.tell()
-    if 2 * len(columns) * count > stream.seek(0, io.SEEK_END) - start + 1:
-        return None
+    room = (stream.seek(0, io.SEEK_END) - start + 1) // (2 * len(columns))
     stream.seek(start)
-    fields = [np.empty(count, columns[name]) for name in columns.names]
-    filled = 0
-    while block := stream.read(_BLOCK_BYTES):
-        block += stream.readline()
+    fields = [np.empty(min(count, room), columns[name]) for name in columns.names]
+    filled, miscount = 0, (count, f"expected {count} rows")
+    for block in iter(lambda: stream.read(_BLOCK_BYTES) + stream.readline(), b""):
         if not _NONBLANK.search(block):
             continue
         try:
             table = _loadtxt(block, columns)
         except ValueError:
-            return None
+            row = filled + _first_bad_row(block, columns)
+            return None, (row, f"expected {' '.join(columns.names)!r}") if row < count else miscount
         if table.size > count - filled:
-            return None
+            return None, miscount
         for field, name in zip(fields, columns.names):
             field[filled : filled + table.size] = table[name]
         filled += table.size
-    return fields if filled == count else None
+    return (fields, None) if filled == count else (None, miscount)
 
 
-def _read_body(body, fmt, header):
-    """The fields of the text after the header, read whole; errors name the line.
+def _first_bad_row(block, columns):
+    """The index among the nonblank lines of block of the first that np.loadtxt rejects.
 
-    Blank lines are skipped and the row count must match exactly.  This is
-    how the labels format is read, and how a table's problem is located.
+    loadtxt's messages do not name the line: bisect, parsing the block about once more.
     """
-
-    def numbered():
-        """(line number, line) of each nonblank line after the header."""
-        return [(i, ln) for i, ln in enumerate(body.split(b"\n"), start=3) if _NONBLANK.search(ln)]
-
-    def fail(row, reason):
-        """Raise for the given row; a row past the last names the line after the text."""
-        found, last = numbered(), body.split(b"\n")
-        number = found[row][0] if row < len(found) else 2 + len(last) + (last[-1] != b"")
-        raise fmt.error(f"line {number}: {reason}")
-
-    if fmt.columns is None:
-        count, fields = len(header) - 1, []
-        for row, ((_, line), size) in enumerate(zip(numbered(), header[1:])):
-            try:
-                fields.append(_loadtxt(line, np.int64))
-            except ValueError:
-                fail(row, f"expected {size} integers")
-            if fields[-1].size != size:
-                fail(row, f"expected {size} integers")
-        found = len(numbered())
-    else:
-        count = header[-1]
+    rows = [line for line in block.split(b"\n") if _NONBLANK.search(line)]
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            table = _loadtxt(body, fmt.columns) if _NONBLANK.search(body) else np.empty(0, fmt.columns)
+            _loadtxt(b"\n".join(rows[lo:mid]), columns)
+            lo = mid
         except ValueError:
-            # loadtxt's messages do not name the line: bisect for the
-            # first row it rejects, parsing about as much text again
-            rows = [ln for _, ln in numbered()]
-            lo, hi = 0, len(rows)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    _loadtxt(b"\n".join(rows[lo:mid]), fmt.columns)
-                    lo = mid
-                except ValueError:
-                    hi = mid
-            if lo < count:
-                fail(lo, f"expected {' '.join(fmt.columns.names)!r}")
-            fail(count, f"expected {count} rows")
-        found = table.size
-        fields = [table[name] for name in fmt.columns.names]
-    if found != count:
-        fail(count, f"expected {count} rows")
-    problem = fmt.check and fmt.check(header, fields)
-    if problem:
-        fail(*problem)
-    return fields
+            hi = mid
+    return lo
+
+
+def _read_lines(stream, header):
+    """Like _read_table, for rows of integers: row k holds header[k + 1] of them."""
+    lines, fields = filter(_NONBLANK.search, iter(stream.readline, b"")), []
+    for row, (size, line) in enumerate(zip(header[1:], lines)):
+        try:
+            fields.append(_loadtxt(line, np.int64))
+        except ValueError:
+            return None, (row, f"expected {size} integers")
+        if fields[-1].size != size:
+            return None, (row, f"expected {size} integers")
+    if len(fields) < len(header) - 1 or next(lines, None):
+        return None, (len(header) - 1, f"expected {len(header) - 1} rows")
+    return fields, None
+
+
+def _line_number(stream, start, row):
+    """The number of the line of nonblank row `row` after the header, which ends at offset start.
+
+    A row past the last names the line after the text.
+    """
+    stream.seek(start)
+    number = 2
+    for number, line in enumerate(iter(stream.readline, b""), start=3):
+        if _NONBLANK.search(line):
+            if row == 0:
+                return number
+            row -= 1
+    return number + 1
 
 
 def _write_records(fmt, header, fields):
@@ -474,7 +465,7 @@ class _File(io.BufferedReader):
 
     sha256 hashes every byte that read and readline return.  A parse that
     succeeds reads each byte of the file once, in order (only a failing one
-    seeks back to read again), so its digest is the file's.
+    reads again, to number a line), so its digest is the file's.
     """
 
     def __init__(self, raw):
@@ -495,16 +486,17 @@ class _File(io.BufferedReader):
         return data
 
 
-# sha256 of each file that _load_records has read, by path as given; the
-# CLI reports them in its run manifest.
-_digests = {}
+# While the CLI runs, a dict of the sha256 of each file that _load_records
+# has read, by path as given, for the run manifest; None otherwise.
+_digests = None
 
 
 def _load_records(path, parse):
-    """parse(the file at path, open for binary reading); the file's sha256 goes to _digests."""
+    """parse(the file at path, open for binary reading); its sha256 goes to _digests, if a dict."""
     with _File(io.FileIO(path)) as fh:
         result = parse(fh)
-    _digests[path] = fh.sha256.hexdigest()
+    if _digests is not None:
+        _digests[path] = fh.sha256.hexdigest()
     return result
 
 

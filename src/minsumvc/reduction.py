@@ -372,15 +372,13 @@ def parse_labels(text):
     return _read_records(text, _LABELS_FORMAT)
 
 
-def _labels_records(labeling, u_count=None, v_count=None):
-    u_count = len(labeling.u_labels) if u_count is None else u_count
-    v_count = len(labeling.v_labels) if v_count is None else v_count
-    header = (labeling.alphabet, u_count, v_count)
+def _labels_records(labeling):
+    header = (labeling.alphabet, len(labeling.u_labels), len(labeling.v_labels))
     return _write_records(_LABELS_FORMAT, header, (labeling.u_labels, labeling.v_labels))
 
 
-def format_labels(labeling, u_count=None, v_count=None):
-    return b"".join(_labels_records(labeling, u_count, v_count)).decode()
+def format_labels(labeling):
+    return b"".join(_labels_records(labeling)).decode()
 
 
 def load_labels(path):

@@ -25,6 +25,7 @@ from minsumvc import (
     save_labels,
     save_ug,
 )
+from minsumvc import graph as graph_module
 from minsumvc import hardness
 from minsumvc.cli import main
 
@@ -55,6 +56,15 @@ def test_solve_exact_triangle(tmp_path, capsys):
     assert manifest["seed"] == 0
     assert manifest["wall_time_s"] >= 0.0
     assert "error" not in manifest
+
+
+def test_only_a_cli_run_records_input_digests(tmp_path, capsys):
+    path = tmp_path / "k3.graph"
+    save_graph(complete_graph(3), path)
+    run_cli(capsys, "solve", "--method", "exact", "--input", str(path))
+    for _ in range(5):
+        load_graph(path)
+    assert not graph_module._digests
 
 
 def test_solve_all_methods_agree_on_triangle(tmp_path, capsys):
@@ -294,6 +304,7 @@ def test_unweight_bad_eps_returns_one_with_manifest(tmp_path, capsys, eps):
     assert (code, out) == (1, "")
     manifest = manifest_of(err)
     assert manifest["parameters"]["eps"] == eps
+    assert manifest["error"] == f"--eps must be a fraction p/q with q > 0, got {eps!r}"
     assert err.splitlines()[1] == f"error: {manifest['error']}"
     assert not out_path.exists()
 

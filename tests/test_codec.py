@@ -288,6 +288,25 @@ def test_a_row_count_the_file_cannot_hold_allocates_nothing(tmp_path, kind, data
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("kind, data, reason", [
+    ("graph", b"msvc-graph 1\n3 1000000000000\n0 1 x\n", "expected 'u v w'"),
+    ("ug", b"msvc-ug 1\n3 2 2 1000000000000\n0 x 2\n", "expected 'u v c'"),
+    ("config", b"msvc-hardness 1\n1000000000000\n1 y\n", "expected 'alpha rho'"),
+])
+def test_a_bad_row_under_a_row_count_the_file_cannot_hold_names_its_line(tmp_path, kind, data, reason):
+    load, fmt, _, _ = FILES[kind]
+    path = tmp_path / kind
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        outcome = _outcome(lambda: load(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == _outcome(lambda: read_records_text(data.decode(), fmt)) == (fmt.error, f"line 3: {reason}")
+    assert peak < 1 << 20
+
+
 def test_save_and_load_graph_peaks_stay_near_the_file_size(tmp_path):
     """Traced peaks on a 260,864-edge long-code graph.
 
@@ -316,3 +335,27 @@ def test_save_and_load_graph_peaks_stay_near_the_file_size(tmp_path):
     assert save_peak < 1.0 * size
     assert load_peak < 1.25 * size
     assert svc_peak < 0.85 * arrays
+
+
+def test_a_bad_last_row_of_a_long_code_graph_fails_in_file_sized_memory(tmp_path):
+    """The graph of the test above with its last row broken, then a self-loop.
+
+    Each error names the last line, and the traced peak of the failing load
+    stays under the bound of a valid load.
+    """
+    instance, _ = random_affine_instance(7, 4, 2, seed=0)
+    body, last = write_graph(build_long_code_graph(instance, -0.52)).encode().rstrip(b"\n").rsplit(b"\n", 1)
+    number = body.count(b"\n") + 2
+    u = last.split()[0]
+    path = tmp_path / "long_code.graph"
+    assert number - 2 >= 1 << 17
+    for row, reason in [(b"0 1 x", "expected 'u v w'"), (u + b" " + u + b" 1", "self-loop")]:
+        path.write_bytes(body + b"\n" + row + b"\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match=f"^line {number}: {reason}$"):
+                load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
