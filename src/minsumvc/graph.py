@@ -27,14 +27,19 @@ line of the file.  Files are read and written as bytes: a CRLF line end is
 accepted, a bare CR ends no line, and a non-ASCII byte is an error.  A
 table is read in one pass, a block of lines at a time, into columns sized
 from its header, and written a chunk of rows at a time, so neither holds
-the text of the whole file.  A read that fails scans the text once more,
-line by line, only to number the line it names.
+the text of the whole file.  The blocks are parsed on one thread per CPU:
+rows as the writer writes them with numpy array operations, any others
+with np.loadtxt, so both give the same values and the same errors.  A read
+that fails counts the lines once more, a block at a time, only to number
+the line it names.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import io
+import itertools
 import os
 import re
 from collections.abc import Callable
@@ -58,16 +63,35 @@ def _workers():
     return len(os.sched_getaffinity(0))
 
 
-def _parallel_map(fn, items):
-    """list(map(fn, items)) on _workers() threads, results in input order.
+def _parallel_imap(fn, items, ahead):
+    """map(fn, items) on _workers() threads: an iterator of the results in input order.
 
     The calls must write disjoint data; they overlap where numpy drops the GIL.
-    A list of fewer than two items runs inline, without a pool.
+    At most `ahead` calls run or wait at a time, so items may be a stream
+    read as the results are taken.  Fewer than two items run inline, without
+    a pool; closing the iterator early cancels the calls that wait.
     """
-    if len(items) < 2:
-        return list(map(fn, items))
-    with ThreadPoolExecutor(_workers()) as pool:
-        return list(pool.map(fn, items))
+    items = iter(items)
+    head = list(itertools.islice(items, 2))
+    if len(head) < 2:
+        yield from map(fn, head)
+        return
+    pool = ThreadPoolExecutor(_workers())
+    try:
+        calls = collections.deque(pool.submit(fn, item) for item in head)
+        for item in items:
+            if len(calls) >= ahead:
+                yield calls.popleft().result()
+            calls.append(pool.submit(fn, item))
+        while calls:
+            yield calls.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _parallel_map(fn, items):
+    """list(map(fn, items)) on _workers() threads, all calls at once; see _parallel_imap."""
+    return list(_parallel_imap(fn, items, len(items)))
 
 
 def _distinct(values):
@@ -116,6 +140,13 @@ class WeightedGraph:
     def from_arrays(cls, n, u, v, w):
         g = cls.__new__(cls)
         g._assign(n, u, v, w)
+        return g
+
+    @classmethod
+    def _from_checked(cls, n, u, v, w):
+        """The graph of int64 u, v and float64 w that _edge_problem has passed, not checked again."""
+        g = cls.__new__(cls)
+        g.n, g._u, g._v, g._w = n, u, v, w
         return g
 
     def _assign(self, n, u, v, w):
@@ -303,12 +334,39 @@ class _RecordFormat(NamedTuple):
 # An ASCII byte that str.strip() keeps: all but \t-\r, \x1c-\x1f and space.
 # np.loadtxt skips the same lines as blank.
 _NONBLANK = re.compile(rb"[^\t-\r\x1c- ]")
+# For _line_number: the blank bytes but the newline, and a table of each
+# byte, or "x" for a nonblank one.
+_BLANK_IN_LINE = bytes(c for c in range(256) if c != ord("\n") and not _NONBLANK.match(bytes([c])))
+_MARK_NONBLANK = bytes(ord("x") if _NONBLANK.match(bytes([c])) else c for c in range(256))
 
-# Bytes of table text per np.loadtxt call, plus the rest of the last line.
-# Below glibc's 128 KB mmap threshold: freeing a larger read buffer raises
-# that threshold, and with 4 MB blocks a later exact DP in the same process
-# peaked about 3 MB higher.
-_BLOCK_BYTES = 1 << 16
+# Bytes of table text per block, plus the rest of the last line, and the
+# most blocks read ahead or parsed at once, on any CPU count.  Larger blocks
+# parse faster (fewer numpy calls per byte, each dropping the GIL for
+# longer), but _parse_plain's arrays peak at about 3.9 bytes per byte of
+# its block: load_graph traces 1.10x the size of a 7.6 MB long-code graph
+# on 2 CPUs and 1.14x on 3 or more, and 1.33x with 256 KB blocks on 2 CPUs,
+# where the graph's own arrays are 0.83x.  A block is above glibc's initial
+# 128 KB mmap threshold, and freeing it raises the threshold to its size:
+# an exact DP after loading the L = 8 reduction graph peaked 0.4 MB above
+# the DP alone, as with 64 KB blocks, where 4 MB blocks cost about 3 MB.
+_BLOCK_BYTES = 1 << 17
+_BLOCKS_AHEAD = 3
+
+# Plain table text, as _write_records writes it, is parsed by _parse_plain:
+# integer tokens of at most _INT_DIGITS digits, float tokens of at most
+# _FLOAT_BYTES bytes of _FLOAT_TEXT.
+_INT_DIGITS, _FLOAT_BYTES, _FLOAT_TEXT = 18, 24, b"0123456789.eE+-"
+
+# _WORD_MASKS[i, r] keeps the bytes of a token of r bytes in its word i,
+# the 8 bytes from its byte 8 * i on; _HASH mixes the words into one.
+# _PADDING follows the text of each block read, for the last word of its
+# last token to lie in the block.
+_WORD_MASKS = np.array(
+    [[(1 << 8 * min(max(r - 8 * i, 0), 8)) - 1 for r in range(_FLOAT_BYTES + 1)] for i in range(3)],
+    dtype=np.uint64,
+)
+_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], dtype=np.uint64)
+_PADDING = bytes(_FLOAT_BYTES)
 
 
 def _loadtxt(text, dtype):
@@ -358,27 +416,148 @@ def _read_table(stream, columns, count):
     Blank lines are skipped and the row count must match exactly; a bad
     token in a row below count comes first.  A row takes at least two bytes
     per column (the last row one less), so the columns are no longer than
-    the remaining bytes can fill, whatever count says.
+    the remaining bytes can fill, whatever count says.  The blocks are
+    parsed on _workers() threads and placed in file order.
     """
     start = stream.tell()
     room = (stream.seek(0, io.SEEK_END) - start + 1) // (2 * len(columns))
     stream.seek(start)
     fields = [np.empty(min(count, room), columns[name]) for name in columns.names]
     filled, miscount = 0, (count, f"expected {count} rows")
-    for block in iter(lambda: stream.read(_BLOCK_BYTES) + stream.readline(), b""):
-        if not _NONBLANK.search(block):
-            continue
-        try:
-            table = _loadtxt(block, columns)
-        except ValueError:
-            row = filled + _first_bad_row(block, columns)
+    # whole lines and _PADDING, till the padding alone is left
+    blocks = iter(lambda: b"".join((stream.read(_BLOCK_BYTES), stream.readline(), _PADDING)), _PADDING)
+    for table in _parallel_imap(lambda block: _parse_block(block, columns), blocks, _BLOCKS_AHEAD):
+        if isinstance(table, int):
+            row = filled + table
             return None, (row, f"expected {' '.join(columns.names)!r}") if row < count else miscount
-        if table.size > count - filled:
+        rows = table[0].size
+        if rows > count - filled:
             return None, miscount
-        for field, name in zip(fields, columns.names):
-            field[filled : filled + table.size] = table[name]
-        filled += table.size
+        for field, column in zip(fields, table):
+            field[filled : filled + rows] = column
+        filled += rows
     return (fields, None) if filled == count else (None, miscount)
+
+
+def _parse_block(block, columns):
+    """The columns of the rows in block, or the index among its nonblank lines of the first bad one.
+
+    block is whole lines of text, then _PADDING.  Plain rows are parsed by
+    _parse_plain, any others by np.loadtxt.
+    """
+    table = _parse_plain(block, columns)
+    if table is not None:
+        return table
+    block = block[: -len(_PADDING)]
+    if not _NONBLANK.search(block):
+        return [np.empty(0, columns[name]) for name in columns.names]
+    try:
+        table = _loadtxt(block, columns)
+    except ValueError:
+        return _first_bad_row(block, columns)
+    return [table[name] for name in columns.names]
+
+
+def _parse_plain(block, columns):
+    """The columns of a block of plain rows and _PADDING, as np.loadtxt parses them, or None.
+
+    Plain rows hold nonempty tokens, one space between two and a newline
+    after the last; see _INT_DIGITS for the tokens.  Integers are summed
+    digit by digit.  Float tokens are grouped by a hash of their bytes, and
+    each is compared byte for byte with one token of its group; float()
+    parses that one, rounding as np.loadtxt does.  The arrays peak at about
+    four bytes per byte of the block, and numpy drops the GIL for the work
+    on the larger ones.
+    """
+    size, k = len(block) - len(_PADDING), len(columns)
+    text = np.frombuffer(block, np.uint8)
+    separators = _separators(text[:size])
+    if not block.endswith(b"\n" + _PADDING) or (separators.size - 1) % k:
+        return None
+    ends, befores = separators[1:].reshape(-1, k).T, separators[:-1].reshape(-1, k).T
+    expected = np.full((k, 1), ord(" "), np.uint8)
+    expected[-1] = ord("\n")
+    if (ends - befores).min() < 2 or not (text.take(ends) == expected).all():
+        return None
+    table = [None] * k
+    ints = [j for j, name in enumerate(columns.names) if columns[name].kind == "i"]
+    if ints:
+        values = _plain_integers(text, ends[ints], befores[ints])
+        if values is None:
+            return None
+        for j, column in zip(ints, values):
+            table[j] = column
+    for j in range(k):
+        if j not in ints:
+            table[j] = _plain_floats(block, text, ends[j], befores[j])
+            if table[j] is None:
+                return None
+    return table
+
+
+def _plain_integers(text, end, before):
+    """The integers between the separators at offsets before and end of text, or None.
+
+    before and end hold a row of offsets per column; a token must be 1 to
+    _INT_DIGITS digits.
+    """
+    width = int((end - before).max()) - 1
+    if width > _INT_DIGITS:
+        return None
+    # the digits right-aligned, "0" in front of the first (a place before
+    # the text wraps around to its zero padding, and is masked)
+    places = end - np.arange(width, 0, -1)[:, None, None]
+    digits = np.where(places > before, text.take(places), ord("0"))
+    digits -= ord("0")
+    if digits.max() > 9:
+        return None
+    values = digits[0].astype(np.int64)
+    for place in digits[1:]:
+        values *= 10
+        values += place
+    return values
+
+
+def _plain_floats(block, text, end, before):
+    """The floats between the separators at offsets before and end of text, or None.
+
+    block holds the bytes of text; a token must be 1 to _FLOAT_BYTES bytes
+    of _FLOAT_TEXT that float() reads.
+    """
+    words = -(-(int((end - before).max()) - 1) // 8)
+    if words > _FLOAT_BYTES // 8:
+        return None
+    # the 8 bytes from each byte of the text on, as a view: "V8" needs no
+    # alignment, and an index (unlike take) copies no strided array
+    at = np.ndarray((text.size - 7,), "V8", text, 0, (1,))
+    start, length = before + 1, end - before - 1
+    keys = at[start + np.arange(0, 8 * words, 8)[:, None]].view("<u8")
+    keys &= _WORD_MASKS[:words].take(length, axis=1)
+    hashes = _HASH[:words] @ keys
+    group = _distinct(hashes).searchsorted(hashes)
+    one = np.empty(group.max() + 1, np.intp)
+    one[group] = np.arange(group.size)
+    if not (keys.take(one.take(group), axis=1) == keys).all():
+        return None
+    tokens = [block[p : p + q] for p, q in zip(start.take(one).tolist(), length.take(one).tolist())]
+    if any(token.translate(None, _FLOAT_TEXT) for token in tokens):
+        return None
+    try:
+        return np.array([float(token) for token in tokens]).take(group)
+    except ValueError:
+        return None
+
+
+def _separators(text):
+    """The offset of each byte of text up to a space, after a -1, as int32.
+
+    Its own function, so that the larger arrays it makes are gone when it returns.
+    """
+    found = np.flatnonzero(text <= ord(" "))
+    separators = np.empty(found.size + 1, np.int32)
+    separators[0] = -1
+    separators[1:] = found
+    return separators
 
 
 def _first_bad_row(block, columns):
@@ -416,15 +595,25 @@ def _read_lines(stream, header):
 def _line_number(stream, start, row):
     """The number of the line of nonblank row `row` after the header, which ends at offset start.
 
-    A row past the last names the line after the text.
+    Lines are counted a block at a time; only the block that holds the row
+    is scanned line by line.  A row past the last names the line after the text.
     """
     stream.seek(start)
     number = 2
-    for number, line in enumerate(iter(stream.readline, b""), start=3):
-        if _NONBLANK.search(line):
-            if row == 0:
-                return number
-            row -= 1
+    for block in iter(lambda: stream.read(_BLOCK_BYTES) + stream.readline(), b""):
+        # each nonblank byte as "x", with the other blank bytes gone: a
+        # nonblank line starts the block with "x" or follows a newline with it
+        marked = block.translate(_MARK_NONBLANK, _BLANK_IN_LINE)
+        rows = marked.count(b"\nx") + marked.startswith(b"x")
+        if row >= rows:
+            row -= rows
+            number += block.count(b"\n") + (not block.endswith(b"\n"))
+            continue
+        for number, line in enumerate(block.split(b"\n"), start=number + 1):
+            if _NONBLANK.search(line):
+                if row == 0:
+                    return number
+                row -= 1
     return number + 1
 
 
@@ -511,7 +700,7 @@ _GRAPH_FORMAT = _RecordFormat(
     ("n", "m"),
     np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
     GraphFormatError,
-    build=lambda header, fields: WeightedGraph.from_arrays(header[0], *fields),
+    build=lambda header, fields: WeightedGraph._from_checked(header[0], *fields),
     check=lambda header, fields: _edge_problem(header[0], *fields),
     float_text=_format_weight,
 )

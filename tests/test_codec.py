@@ -1,5 +1,7 @@
 """The byte record codec shared by the four text formats."""
 
+import io
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -359,3 +361,184 @@ def test_a_bad_last_row_of_a_long_code_graph_fails_in_file_sized_memory(tmp_path
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * path.stat().st_size
+
+
+# Table texts as _write_records writes them, and in the other spellings of
+# a number that the plain-row parser takes: leading zeros, ids of up to 18
+# digits, floats without a digit on one side of the point, with an
+# exponent, a sign or a capital E.
+PLAIN_FLOATS = st.one_of(
+    WEIGHTS.map(lambda w: repr(float(w))),
+    st.floats(min_value=-1.0, max_value=0.0).map(repr),
+    st.sampled_from(["1e-5", "1.", ".5", "1E+05", "-0.0", "+2.5", "0", "007", "-.25", "1e400", "-1e-400",
+                     "2.4703282292062328e-324", "9007199254740993", "0.30000000000000004441"]),
+)
+PLAIN_IDS = st.one_of(st.integers(0, 40), st.integers(0, 10**18 - 1)).map(str) | st.sampled_from(
+    ["00", "007", "999999999999999999", "000000000000000001"]
+)
+# Per table format: the header text for a row count, and each column's tokens.
+PLAIN_TABLES = {
+    "graph": (_GRAPH_FORMAT, "msvc-graph 1\n1000000000000000000 %d\n", (PLAIN_IDS, PLAIN_IDS, PLAIN_FLOATS)),
+    "ug": (_UG_FORMAT, "msvc-ug 1\n50 1000000000000000000 1000000000000000000 %d\n",
+           (PLAIN_IDS, PLAIN_IDS, st.integers(0, 60).map(str))),
+    "config": (_CONFIG_FORMAT, "msvc-hardness 1\n%d\n", (PLAIN_FLOATS, PLAIN_FLOATS)),
+}
+
+
+@st.composite
+def plain_tables(draw):
+    kind = draw(st.sampled_from(sorted(PLAIN_TABLES)))
+    fmt, header, tokens = PLAIN_TABLES[kind]
+    rows = draw(st.lists(st.tuples(*tokens), min_size=1, max_size=12))
+    return fmt, header % len(rows) + "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _fields(fmt):
+    """fmt, building the list of its columns, so that they compare bit for bit."""
+    return fmt._replace(build=lambda header, fields: fields)
+
+
+def _column_outcome(read):
+    """("ok", each column's dtype and bytes) or (the error's type, its message)."""
+    outcome = _outcome(read)
+    if outcome[0] != "ok":
+        return outcome
+    return "ok", [(column.dtype.str, column.tobytes()) for column in outcome[1]]
+
+
+def _spy_loadtxt():
+    """A patch of graph._loadtxt that records the dtype of each call."""
+    return mock.patch.object(graph_module, "_loadtxt", side_effect=graph_module._loadtxt)
+
+
+@CODEC
+@given(table=plain_tables(), block=BLOCK_BYTES)
+def test_plain_tables_parse_bit_for_bit_like_the_str_oracle_without_loadtxt(table, block):
+    fmt, text = table
+    expected = _column_outcome(lambda: read_records_text(text, _fields(fmt)))
+    with _spy_loadtxt() as loadtxt, mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+        assert _column_outcome(lambda: graph_module._read_records(text, _fields(fmt))) == expected
+    # np.loadtxt read the header only
+    assert [call.args[1] for call in loadtxt.call_args_list] == [np.int64]
+
+
+def test_plain_rows_cover_every_spelling_of_a_weight():
+    weights = ["0.1", "1e-5", "1.", ".5", "1E+05", "+2.5", "5e-324", "1e308", "2E-3", "123456789012345678901234"]
+    ids = ["0", "7", "123456789012345678", "000000000000000001"]
+    text = f"msvc-graph 1\n{10**18} {len(weights)}\n" + "".join(
+        f"{ids[i % 4]} {ids[(i + 1) % 4]} {w}\n" for i, w in enumerate(weights)
+    )
+    with _spy_loadtxt() as loadtxt:
+        fields = graph_module._read_records(text, _fields(_GRAPH_FORMAT))
+    assert loadtxt.call_count == 1
+    assert [(c.dtype.str, c.tobytes()) for c in fields] == _column_outcome(
+        lambda: read_records_text(text, _fields(_GRAPH_FORMAT)))[1]
+    assert fields[2].tolist() == [float(w) for w in weights]
+    assert fields[0].tolist() == [int(ids[i % 4]) for i in range(len(weights))]
+
+
+# Rows np.loadtxt reads or rejects that are not plain, in place of the
+# second row of a graph table; and the same table without its final newline.
+NOT_PLAIN = [b"1\t2 0.5", b"1  2 0.5", b"1 2 0.5\r", b"", b" ", b"1 2 0.5 ", b" 1 2 0.5", b"+1 2 0.5",
+             b"1 2 nan", b"1 2 inf", b"1 2 1_0", b"1 2 0x10", b"0000000000000000001 2 0.5",
+             b"1 2 1.00000000000000000000001", b"1 2 1e", b"1 2 .", b"1 2 --1", b"1 2 0.5e+-1", b"1 -2 0.5",
+             b"1 2.0 0.5", b"1e3 2 0.5", b"a 2 0.5", b"1 2 0.5\xe9", b"1 2", b"1 2 0.5 7", b"1\x0b2 0.5",
+             b"1 2 \x1c0.5"]
+
+
+@pytest.mark.parametrize("row", NOT_PLAIN)
+def test_rows_that_are_not_plain_go_to_loadtxt_and_read_like_the_str_oracle(tmp_path, row):
+    rows = [b"0 1 1.5", row, b"2 3 0.25", b"3 0 4"]
+    path = tmp_path / "g.graph"
+    for text in (b"msvc-graph 1\n4 %d\n" % len(rows) + b"\n".join(rows) + b"\n",
+                 b"msvc-graph 1\n4 4\n0 1 1.5\n1 2 0.5\n2 3 0.25\n3 0 4"):
+        expected = _outcome(lambda: read_records_text(text.decode(errors="replace"), _GRAPH_FORMAT))
+        path.write_bytes(text)
+        for block in (1, 8, graph_module._BLOCK_BYTES):
+            with _spy_loadtxt() as loadtxt, mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+                assert _outcome(lambda: read_graph(text)) == expected, (text, block)
+                assert _outcome(lambda: load_graph(path)) == expected, (text, block)
+        # in one block with the other rows, the row sends the block to np.loadtxt
+        assert _GRAPH_FORMAT.columns in [call.args[1] for call in loadtxt.call_args_list]
+
+
+def test_a_hash_collision_falls_back_to_loadtxt():
+    text = "msvc-graph 1\n3 4\n0 1 1.5\n1 2 2.5\n0 2 1.5\n2 0 0.25\n"
+    expected = _column_outcome(lambda: read_records_text(text, _fields(_GRAPH_FORMAT)))
+    with _spy_loadtxt() as loadtxt:
+        assert _column_outcome(lambda: graph_module._read_records(text, _fields(_GRAPH_FORMAT))) == expected
+    assert loadtxt.call_count == 1
+    # every token hashes alike: the byte comparison refutes the one group
+    with _spy_loadtxt() as loadtxt, mock.patch.object(graph_module, "_HASH", np.zeros(3, np.uint64)):
+        assert _column_outcome(lambda: graph_module._read_records(text, _fields(_GRAPH_FORMAT))) == expected
+    assert [call.args[1] for call in loadtxt.call_args_list] == [np.int64, _GRAPH_FORMAT.columns]
+
+
+def test_a_table_in_one_block_is_parsed_without_a_pool(tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started")
+
+    g = WeightedGraph(4, [(0, 1, 0.5), (1, 2, 1.5), (2, 3, 2.5)])
+    path = tmp_path / "g.graph"
+    save_graph(g, path)
+    with mock.patch.object(graph_module, "ThreadPoolExecutor", no_pool):
+        assert load_graph(path) == g
+        with mock.patch.object(graph_module, "_BLOCK_BYTES", 8), pytest.raises(AssertionError, match="pool started"):
+            load_graph(path)
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", 8):
+        assert load_graph(path) == g
+
+
+def test_blocks_parsed_on_more_threads_than_cpus_are_placed_in_order(tmp_path):
+    g = build_long_code_graph(random_affine_instance(3, 3, 2, seed=1)[0], -0.5)
+    path = tmp_path / "g.graph"
+    save_graph(g, path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(graph_module, "_workers", lambda: 8), \
+                mock.patch.object(graph_module, "_BLOCK_BYTES", 64):
+            assert _bits(load_graph(path)) == _bits(g)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_loaded_graph_checks_its_edges_once(tmp_path):
+    g = build_long_code_graph(random_affine_instance(2, 2, 1, seed=0)[0], -0.5)
+    path = tmp_path / "g.graph"
+    save_graph(g, path)
+    with mock.patch.object(graph_module, "_edge_problem", side_effect=graph_module._edge_problem) as check:
+        assert load_graph(path) == g
+        assert check.call_count == 1
+        path.write_bytes(write_graph(g).encode() + b"0 0 1\n")
+        with pytest.raises(GraphFormatError, match=f"^line {g.m + 3}: expected {g.m} rows$"):
+            load_graph(path)
+    # graphs built from arrays or edges still check theirs
+    for bad in [(0, 0, 1.0), (0, g.n, 1.0), (0, 1, 0.0)]:
+        with pytest.raises(ValueError):
+            WeightedGraph.from_arrays(g.n, *np.array([bad]).T)
+        with pytest.raises(ValueError):
+            WeightedGraph(g.n, [bad])
+
+
+def _line_number_by_lines(text, row):
+    """The line of nonblank row `row` of the text after a two-line header, from all its lines.
+
+    A row past the last names the line after the text.
+    """
+    lines = text.split(b"\n")
+    numbers = [i for i, line in enumerate(lines, start=3) if line.strip(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")]
+    return numbers[row] if row < len(numbers) else 2 + len(lines) + (lines[-1] != b"")
+
+
+@CODEC
+@given(lines=st.lists(st.sampled_from([b"", b" ", b"\t\r", b"\x0b\x0c", b"\x1c\x1f", b"0 1 2", b"x", b"\xe9", b"\r7\r",
+                                       b"\x00"]), max_size=12),
+       final=st.booleans(), block=BLOCK_BYTES, data=st.data())
+def test_line_numbers_counted_a_block_at_a_time_match_the_lines(lines, final, block, data):
+    text = b"\n".join(lines) + (b"\n" if final and lines else b"")
+    rows = sum(1 for line in lines if line.strip(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "))
+    row = data.draw(st.integers(0, rows + 1))
+    stream = io.BytesIO(b"msvc-graph 1\n1 1\n" + text)
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+        assert graph_module._line_number(stream, 17, row) == _line_number_by_lines(text, row)
