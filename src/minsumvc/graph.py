@@ -26,12 +26,13 @@ the header are skipped, row counts must match exactly, and errors name the
 line of the file.  Files are read and written as bytes: a CRLF line end is
 accepted, a bare CR ends no line, and a non-ASCII byte is an error.  A
 table is read in one pass, a block of lines at a time, into columns sized
-from its header, and written a chunk of rows at a time, so neither holds
-the text of the whole file.  The blocks are parsed on one thread per CPU:
-rows as the writer writes them with numpy array operations, any others
-with np.loadtxt, so both give the same values and the same errors.  A read
-that fails counts the lines once more, a block at a time, only to number
-the line it names.
+from its header, and written a chunk of rows at a time, each chunk
+formatting only its own distinct values, so neither holds the text of the
+whole file or an array as long as a column.  The blocks are parsed one
+after another on the calling thread: rows as the writer writes them with
+numpy array operations, any others with np.loadtxt, so both give the same
+values and the same errors.  A read that fails counts the lines once
+more, a block at a time, only to number the line it names.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import collections
 import hashlib
 import io
-import itertools
 import os
 import re
 from collections.abc import Callable
@@ -63,35 +63,16 @@ def _workers():
     return len(os.sched_getaffinity(0))
 
 
-def _parallel_imap(fn, items, ahead):
-    """map(fn, items) on _workers() threads: an iterator of the results in input order.
-
-    The calls must write disjoint data; they overlap where numpy drops the GIL.
-    At most `ahead` calls run or wait at a time, so items may be a stream
-    read as the results are taken.  Fewer than two items run inline, without
-    a pool; closing the iterator early cancels the calls that wait.
-    """
-    items = iter(items)
-    head = list(itertools.islice(items, 2))
-    if len(head) < 2:
-        yield from map(fn, head)
-        return
-    pool = ThreadPoolExecutor(_workers())
-    try:
-        calls = collections.deque(pool.submit(fn, item) for item in head)
-        for item in items:
-            if len(calls) >= ahead:
-                yield calls.popleft().result()
-            calls.append(pool.submit(fn, item))
-        while calls:
-            yield calls.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _parallel_map(fn, items):
-    """list(map(fn, items)) on _workers() threads, all calls at once; see _parallel_imap."""
-    return list(_parallel_imap(fn, items, len(items)))
+    """list(map(fn, items)) on _workers() threads, in input order.
+
+    The calls must write disjoint data; they overlap where numpy drops the
+    GIL.  Fewer than two items run inline, without a pool.
+    """
+    if len(items) < 2:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(_workers()) as pool:
+        return list(pool.map(fn, items))
 
 
 def _distinct(values):
@@ -339,18 +320,16 @@ _NONBLANK = re.compile(rb"[^\t-\r\x1c- ]")
 _BLANK_IN_LINE = bytes(c for c in range(256) if c != ord("\n") and not _NONBLANK.match(bytes([c])))
 _MARK_NONBLANK = bytes(ord("x") if _NONBLANK.match(bytes([c])) else c for c in range(256))
 
-# Bytes of table text per block, plus the rest of the last line, and the
-# most blocks read ahead or parsed at once, on any CPU count.  Larger blocks
-# parse faster (fewer numpy calls per byte, each dropping the GIL for
-# longer), but _parse_plain's arrays peak at about 3.9 bytes per byte of
-# its block: load_graph traces 1.10x the size of a 7.6 MB long-code graph
-# on 2 CPUs and 1.14x on 3 or more, and 1.33x with 256 KB blocks on 2 CPUs,
-# where the graph's own arrays are 0.83x.  A block is above glibc's initial
-# 128 KB mmap threshold, and freeing it raises the threshold to its size:
-# an exact DP after loading the L = 8 reduction graph peaked 0.4 MB above
-# the DP alone, as with 64 KB blocks, where 4 MB blocks cost about 3 MB.
+# Bytes of table text per block, plus the rest of the last line.  Larger
+# blocks parse faster (fewer numpy calls per byte), but _parse_plain's
+# arrays peak at about 3.9 bytes per byte of its block: load_graph traces
+# 1.00x the size of a 7.6 MB long-code graph, and 1.03x with 256 KB
+# blocks, where the graph's own arrays are 0.83x.  A block is above glibc's
+# initial 128 KB mmap threshold, and freeing it raises the threshold to its
+# size: in fresh processes an exact DP (n = 22) after loading the L = 8
+# reduction graph peaked 1.0 MB above the DP alone, and 11.5-13.8 MB above
+# it with 4 MB blocks.
 _BLOCK_BYTES = 1 << 17
-_BLOCKS_AHEAD = 3
 
 # Plain table text, as _write_records writes it, is parsed by _parse_plain:
 # integer tokens of at most _INT_DIGITS digits, float tokens of at most
@@ -417,7 +396,7 @@ def _read_table(stream, columns, count):
     token in a row below count comes first.  A row takes at least two bytes
     per column (the last row one less), so the columns are no longer than
     the remaining bytes can fill, whatever count says.  The blocks are
-    parsed on _workers() threads and placed in file order.
+    parsed one after another, on the calling thread.
     """
     start = stream.tell()
     room = (stream.seek(0, io.SEEK_END) - start + 1) // (2 * len(columns))
@@ -425,8 +404,8 @@ def _read_table(stream, columns, count):
     fields = [np.empty(min(count, room), columns[name]) for name in columns.names]
     filled, miscount = 0, (count, f"expected {count} rows")
     # whole lines and _PADDING, till the padding alone is left
-    blocks = iter(lambda: b"".join((stream.read(_BLOCK_BYTES), stream.readline(), _PADDING)), _PADDING)
-    for table in _parallel_imap(lambda block: _parse_block(block, columns), blocks, _BLOCKS_AHEAD):
+    for block in iter(lambda: b"".join((stream.read(_BLOCK_BYTES), stream.readline(), _PADDING)), _PADDING):
+        table = _parse_block(block, columns)
         if isinstance(table, int):
             row = filled + table
             return None, (row, f"expected {' '.join(columns.names)!r}") if row < count else miscount
@@ -620,33 +599,38 @@ def _line_number(stream, start, row):
 def _write_records(fmt, header, fields):
     """Yield the bytes of format fmt in chunks; fields are a table's columns or the rows.
 
-    Each distinct value of a table field is formatted once, into a table of
-    NUL-padded cells.  A chunk of _CHUNK_ROWS rows looks its values up in
-    the sorted distinct values, gathers their cells and the separators into
-    one byte matrix and drops the NULs.
+    A chunk of _CHUNK_ROWS table rows formats each distinct value of each
+    field once, into a table of NUL-padded cells, and looks its values up
+    in the sorted distinct values.  Each row is laid out as one record of
+    its cells and separators, and the NULs are dropped.  No array is as
+    long as a column.
     """
     yield f"{fmt.magic}\n{' '.join(map(str, header))}\n".encode()
     if fmt.columns is None:
         for values in fields:
             yield (" ".join(map(str, values)) + "\n").encode()
         return
-    cells = []
-    for values in map(np.asarray, fields):
-        to_text = str if values.dtype.kind == "i" else fmt.float_text
-        # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
-        bits = values.view(np.uint64)
-        keys = _distinct(bits)
-        table = np.array([to_text(x) for x in keys.view(values.dtype).tolist()], dtype=bytes)
-        cells.append((table.view(np.uint8).reshape(keys.size, table.itemsize), keys, bits))
-    ends = np.cumsum([table.shape[1] + 1 for table, _, _ in cells])
-    rows = cells[0][2].size
-    for lo in range(0, rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, rows)
-        chunk = np.full((hi - lo, ends[-1]), ord(" "), np.uint8)
-        chunk[:, -1] = ord("\n")
-        for (table, keys, bits), end in zip(cells, ends):
-            chunk[:, end - 1 - table.shape[1] : end - 1] = table[np.searchsorted(keys, bits[lo:hi])]
-        yield chunk[chunk != 0].tobytes()
+    fields = [np.asarray(values) for values in fields]
+    for lo in range(0, fields[0].size, _CHUNK_ROWS):
+        cells = []
+        for values in fields:
+            values = values[lo : lo + _CHUNK_ROWS]
+            to_text = str if values.dtype.kind == "i" else fmt.float_text
+            # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
+            bits = values.view(np.uint64)
+            keys = _distinct(bits)
+            table = np.array([to_text(x) for x in keys.view(values.dtype).tolist()], dtype=bytes)
+            cells.append((table, keys, bits))
+        rows = np.empty(cells[0][2].size, [(f"{part}{j}", dtype) for j, (table, _, _) in enumerate(cells)
+                                           for part, dtype in (("cell", table.dtype), ("end", "S1"))])
+        for j, (table, keys, bits) in enumerate(cells):
+            rows[f"cell{j}"] = table[np.searchsorted(keys, bits)]
+            rows[f"end{j}"] = b" "
+        rows[f"end{len(cells) - 1}"] = b"\n"
+        # freed before the NULs are dropped: two copies of the chunk at most
+        text = rows.tobytes()
+        del rows
+        yield text.translate(None, b"\0")
 
 
 class _File(io.BufferedReader):
@@ -775,13 +759,19 @@ def random_weighted_graph(n, p, seed, unit_weights=False):
 
 
 def random_regular_graph(n, d, seed, max_tries=1000):
-    """Simple d-regular graph by the pairing model with rejection."""
+    """Simple d-regular graph by the pairing model with rejection.
+
+    When max_tries pairings all have a loop or a repeated pair, which is
+    likely for d >= 6, the last one is made simple by switches that keep
+    every degree (see _switch_to_simple).
+    """
     if n * d % 2 != 0:
         raise ValueError("n*d must be even")
     if d >= n:
         raise ValueError("need d < n")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
+    pairs = stubs.reshape(-1, 2)
     for _ in range(max_tries):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
@@ -793,4 +783,33 @@ def random_regular_graph(n, d, seed, max_tries=1000):
         if np.unique(key).size != key.size:
             continue
         return WeightedGraph(n, [(int(a), int(b), 1.0) for a, b in zip(lo, hi)])
-    raise RuntimeError("pairing model failed to produce a simple graph")
+    return WeightedGraph(n, [(a, b, 1.0) for a, b in _switch_to_simple(np.sort(pairs, axis=1).tolist(), rng)])
+
+
+def _switch_to_simple(pairs, rng):
+    """The (a, b), a <= b, pairs of a multigraph made simple by degree-preserving switches.
+
+    A switch takes a loop or repeated pair {a, b} and a random pair {c, e}
+    and puts {a, c} and {b, e} in their place, when neither is a loop or a
+    pair already there.  Each one leaves at least one bad pair fewer and
+    adds none; after 100 tries per pair, a RuntimeError.
+    """
+    pairs = [tuple(p) for p in pairs]
+    counts = collections.Counter(pairs)
+    bad = [i for i, (a, b) in enumerate(pairs) if a == b or counts[a, b] > 1]
+    for _ in range(100 * len(pairs)):
+        if not bad:
+            return pairs
+        i = bad[rng.integers(len(bad))]
+        j = int(rng.integers(len(pairs)))
+        (a, b), (c, e) = pairs[i], pairs[j]
+        if rng.integers(2):
+            c, e = e, c
+        new = tuple(sorted((a, c))), tuple(sorted((b, e)))
+        if a == c or b == e or new[0] == new[1] or counts[new[0]] or counts[new[1]]:
+            continue
+        counts.subtract((pairs[i], pairs[j]))
+        counts.update(new)
+        pairs[i], pairs[j] = new
+        bad = [k for k in bad if pairs[k][0] == pairs[k][1] or counts[pairs[k]] > 1]
+    raise RuntimeError("switches failed to produce a simple graph")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph, _distinct, _first_problem
+from .graph import _CHUNK_ROWS, Ordering, WeightedGraph, _distinct, _first_problem
 from .graph import _load_records, _read_records, _RecordFormat, _save_records, _write_records
 
 UG_MAGIC = "msvc-ug 1"
@@ -274,11 +274,12 @@ def verify_reduction(graph, instance, rho):
     block = float(size * sum(math.comb(L, d) * pw[d] for d in range(L + 1)))
     block_dev = abs(block - 1.0) if instance.m else 0.0
 
-    if graph.m:
-        vals = _distinct(graph.edge_arrays()[2])
-        ok = bool(np.all(np.min(np.abs(vals[:, None] - pw[None, :]), axis=1) <= 1e-12 * np.max(pw)))
-    else:
-        ok = True
+    # each chunk's distinct weights lie within 1e-12 max(pw) of some pw[d]
+    w = graph.edge_arrays()[2]
+    ok = all(
+        np.all(np.min(np.abs(vals[:, None] - pw[None, :]), axis=1) <= 1e-12 * np.max(pw))
+        for vals in (_distinct(w[lo : lo + _CHUNK_ROWS]) for lo in range(0, w.size, _CHUNK_ROWS))
+    )
 
     passed = max_dev <= 1e-9 and total_dev <= 1e-9 and block_dev <= 1e-12 and ok
     return ReductionReport(

@@ -2,15 +2,18 @@
 
 Each vertex of a weighted graph becomes a block of m copies; each weighted
 edge (u, v, w) becomes an unweighted bipartite gadget between the blocks in
-which every vertex has degree exactly (1 + eps) * w * m.  Gadgets are drawn
-from near-perfect matchings, rejected unless all degrees land in the band
-[(1 - eps) w m, (1 + eps) w m], then padded with extra edges (never by
-removing any) until the degree is exact.  A subset-deviation check bounds
-|e(S,T) - w|S||T|| over all subset pairs against 3 eps w m^2: exactly, by
-enumeration, for m <= 12, and otherwise by a certificate read off the
-padded adjacency (the exact degrees, or the expander mixing lemma), with
-enumeration again when neither certificate fits and m <= 16.  No check
-samples, so a gadget is accepted only when the bound is proved.
+which every vertex has degree exactly (1 + eps) * w * m.  A gadget is drawn
+as floor(wm) disjoint perfect matchings, each one random permutation
+repaired by column swaps, plus random row-column pairs for the rest of wm;
+it is rejected unless all degrees land in the band
+[(1 - eps) w m, (1 + eps) w m], then padded first-fit with extra edges
+(never by removing any) until the degree is exact.  A subset-deviation
+check bounds |e(S,T) - w|S||T|| over all subset pairs against
+3 eps w m^2: exactly, by enumeration, for m <= 12, and otherwise by a
+certificate read off the padded adjacency (the exact degrees, or the
+expander mixing lemma), with enumeration again when neither certificate
+fits and m <= 16.  No check samples, so a gadget is accepted only when the
+bound is proved.
 """
 
 from __future__ import annotations
@@ -141,77 +144,97 @@ class GadgetResult:
 
 
 def _disjoint_matching(adj, rng, tries=40):
-    """A random perfect matching avoiding existing edges, or None."""
+    """A random perfect matching avoiding existing edges, as row r's column cols[r], or None.
+
+    Each try draws one permutation and repairs it.  A row whose column is
+    already an edge swaps columns with a random row, one for which both
+    new pairs are non-edges when there is such a row; otherwise the other
+    row may be left on an edge, and is repaired next.  A try ends after
+    2m repairs, or at a row with no non-edge.
+    """
     m = adj.shape[0]
     for _ in range(tries):
-        cols_free = np.ones(m, dtype=bool)
-        pairs = []
-        for r in rng.permutation(m):
-            cand = np.nonzero(cols_free & ~adj[r])[0]
-            if cand.size == 0:
-                break
-            c = int(cand[rng.integers(cand.size)])
-            cols_free[c] = False
-            pairs.append((int(r), c))
-        if len(pairs) == m:
-            return pairs
+        cols = rng.permutation(m)
+        bad = np.flatnonzero(adj[np.arange(m), cols]).tolist()
+        for _ in range(2 * m):
+            if not bad:
+                return cols
+            r = bad.pop()
+            c = cols[r]
+            free = ~adj[r, cols]
+            partners = np.flatnonzero(free & ~adj[:, c])
+            if partners.size == 0:
+                partners = np.flatnonzero(free)
+                if partners.size == 0:
+                    break
+            s = int(partners[rng.integers(partners.size)])
+            cols[r], cols[s] = cols[s], c
+            if adj[s, c] and s not in bad:
+                bad.append(s)
+            elif not adj[s, c] and s in bad:
+                bad.remove(s)
     return None
 
 
 def _sample_attempt(m, weight, rng):
     """Overlay floor(w*m) disjoint matchings plus a partial matching.
 
-    Keeps every degree in {floor(wm), floor(wm)+1}, so a successful draw
-    always lands inside the acceptance band.  Returns None when a disjoint
-    matching cannot be found.
+    The partial matching pairs random distinct rows with random distinct
+    columns and drops the pairs that are already edges, so every degree
+    stays in {floor(wm), floor(wm)+1} and a successful draw always lands
+    inside the acceptance band.  Returns None when a disjoint matching
+    cannot be found.
     """
     adj = np.zeros((m, m), dtype=bool)
+    rows = np.arange(m)
     wm = weight * m
     full = int(np.floor(wm + 1e-12))
     for _ in range(full):
-        pairs = _disjoint_matching(adj, rng)
-        if pairs is None:
+        cols = _disjoint_matching(adj, rng)
+        if cols is None:
             return None
-        for r, c in pairs:
-            adj[r, c] = True
+        adj[rows, cols] = True
     rest = int(round((wm - full) * m))
     if rest:
-        cols_free = np.ones(m, dtype=bool)
-        for r in rng.choice(m, size=rest, replace=False):
-            cand = np.nonzero(cols_free & ~adj[r])[0]
-            if cand.size == 0:
-                continue
-            c = int(cand[rng.integers(cand.size)])
-            cols_free[c] = False
-            adj[r, c] = True
+        r = rng.permutation(m)[:rest]
+        c = rng.permutation(m)[:rest]
+        adj[r, c] = True
     return adj
 
 
-def _pad_to_target(adj, target, rng):
-    """Add edges between deficient row/column pairs until degrees are exact.
+def _pad_to_target(adj, row_need, col_need, rng):
+    """Add row_need[r] edges at each row r and col_need[c] at each column c.
 
-    Returns the number of edges added, or None when some deficient pair set
-    is saturated (the attempt is then discarded; edges are never removed).
+    Each round shuffles the deficient rows and columns, one entry per unit
+    of need, and gives each row in turn the first column it is not yet
+    joined to; the rows and columns left over go to the next round.
+    Returns the number of edges added, or None when a round adds none (the
+    attempt is then discarded; edges are never removed).
     """
-    added = 0
-    while True:
-        rows = np.repeat(np.arange(adj.shape[0]), target - adj.sum(axis=1))
-        cols = np.repeat(np.arange(adj.shape[1]), target - adj.sum(axis=0))
-        if rows.size == 0:
-            return added
+    rows = np.repeat(np.arange(adj.shape[0]), row_need)
+    cols = np.repeat(np.arange(adj.shape[1]), col_need)
+    lines = adj.tolist()
+    added_rows, added_cols = [], []
+    while rows.size:
         rng.shuffle(rows)
-        cols = list(rng.permutation(cols))
-        progress = False
-        for r in rows:
+        cols = rng.permutation(cols).tolist()
+        left = []
+        for r in rows.tolist():
+            line = lines[r]
             for j, c in enumerate(cols):
-                if not adj[r, c]:
-                    adj[r, c] = True
-                    added += 1
-                    cols.pop(j)
-                    progress = True
+                if not line[c]:
+                    line[c] = True
+                    added_rows.append(r)
+                    added_cols.append(cols.pop(j))
                     break
-        if not progress:
+            else:
+                left.append(r)
+        if len(left) == rows.size:
             return None
+        # in index order, as np.repeat lists them
+        rows, cols = np.array(sorted(left), np.intp), sorted(cols)
+    adj[added_rows, added_cols] = True
+    return len(added_rows)
 
 
 def _exhaustive_subset_check(adj, weight, bound):
@@ -297,8 +320,7 @@ def sample_gadget(spec):
         deg_c = adj.sum(axis=0)
         if deg_r.min() < lo or deg_r.max() > hi or deg_c.min() < lo or deg_c.max() > hi:
             continue
-        sampled = int(adj.sum())
-        added = _pad_to_target(adj, target, rng)
+        added = _pad_to_target(adj, target - deg_r, target - deg_c, rng)
         if added is None:
             continue
         if added > added_cap:
@@ -317,7 +339,7 @@ def sample_gadget(spec):
                 f"{what} {check.max_deviation:.6f} exceeds 3*eps*w*m^2 = {bound:.6f}"
             )
         adj.flags.writeable = False
-        return GadgetResult(spec, adj, attempt, sampled, added, check)
+        return GadgetResult(spec, adj, attempt, int(deg_r.sum()), added, check)
     raise GadgetSamplingError(
         f"no acceptable gadget in {RETRY_BUDGET} attempts for m={spec.m}, "
         f"w={spec.weight}, eps={spec.eps}; concentration suggests "

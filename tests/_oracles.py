@@ -191,6 +191,50 @@ def max_kvc_masks(graph, k):
     return tuple(b for b in range(n) if best >> b & 1)
 
 
+def random_regular_graph_pairing(n, d, seed, max_tries=1000):
+    """random_regular_graph by the pairing model alone, with no switch fallback."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    for _ in range(max_tries):
+        perm = rng.permutation(stubs)
+        pairs = perm.reshape(-1, 2)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            continue
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        key = lo * n + hi
+        if np.unique(key).size != key.size:
+            continue
+        return WeightedGraph(n, [(int(a), int(b), 1.0) for a, b in zip(lo, hi)])
+    raise RuntimeError("pairing model failed to produce a simple graph")
+
+
+def pad_to_target_rounds(adj, target, rng):
+    """First-fit gadget padding that reads every deficit off adj again each round.
+
+    Edits adj in place; the number of edges added, or None when a round adds none.
+    """
+    added = 0
+    while True:
+        rows = np.repeat(np.arange(adj.shape[0]), target - adj.sum(axis=1))
+        cols = np.repeat(np.arange(adj.shape[1]), target - adj.sum(axis=0))
+        if rows.size == 0:
+            return added
+        rng.shuffle(rows)
+        cols = list(rng.permutation(cols))
+        progress = False
+        for r in rows:
+            for j, c in enumerate(cols):
+                if not adj[r, c]:
+                    adj[r, c] = True
+                    added += 1
+                    cols.pop(j)
+                    progress = True
+                    break
+        if not progress:
+            return None
+
+
 # The str record codec that the byte codec in minsumvc.graph replaced: a
 # whole-text writer and a reader of decoded, split text.
 

@@ -474,19 +474,22 @@ def test_a_hash_collision_falls_back_to_loadtxt():
     assert [call.args[1] for call in loadtxt.call_args_list] == [np.int64, _GRAPH_FORMAT.columns]
 
 
-def test_a_table_in_one_block_is_parsed_without_a_pool(tmp_path):
+def test_no_table_read_starts_a_pool(tmp_path):
     def no_pool(*args, **kwargs):
         raise AssertionError("pool started")
 
-    g = WeightedGraph(4, [(0, 1, 0.5), (1, 2, 1.5), (2, 3, 2.5)])
+    g = build_long_code_graph(random_affine_instance(2, 2, 1, seed=0)[0], -0.5)
     path = tmp_path / "g.graph"
     save_graph(g, path)
+    for kind, (_, _, data, _) in FILES.items():
+        (tmp_path / kind).write_bytes(data)
     with mock.patch.object(graph_module, "ThreadPoolExecutor", no_pool):
-        assert load_graph(path) == g
-        with mock.patch.object(graph_module, "_BLOCK_BYTES", 8), pytest.raises(AssertionError, match="pool started"):
-            load_graph(path)
-    with mock.patch.object(graph_module, "_BLOCK_BYTES", 8):
-        assert load_graph(path) == g
+        for block in (1, 8, 64, graph_module._BLOCK_BYTES):
+            with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+                assert _bits(load_graph(path)) == _bits(g)
+                for kind, (load, fmt, data, _) in FILES.items():
+                    expected = _outcome(lambda: read_records_text(data.decode(), fmt))
+                    assert _outcome(lambda: load(tmp_path / kind)) == expected
 
 
 def test_blocks_parsed_on_more_threads_than_cpus_are_placed_in_order(tmp_path):

@@ -1,5 +1,6 @@
 """Graph container, svc evaluation, subset tables, and the text format."""
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from minsumvc import (
 )
 from minsumvc import graph as graph_module
 
-from _oracles import aggregate_parallel, min_subset_density, relabel, svc_value_suffix
+from _oracles import aggregate_parallel, min_subset_density, random_regular_graph_pairing, relabel, svc_value_suffix
 
 TRIANGLE = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
@@ -338,3 +339,37 @@ def test_random_regular_graph_is_regular_and_simple():
         random_regular_graph(5, 3, 0)
     with pytest.raises(ValueError):
         random_regular_graph(4, 4, 0)
+
+
+def _assert_simple_regular(g, n, d):
+    assert g.n == n and list(g.degrees()) == [d] * n
+    pairs = {(min(u, v), max(u, v)) for u, v, _ in g.edges}
+    assert len(pairs) == g.m and all(u != v for u, v in pairs)
+
+
+def test_random_regular_graph_keeps_every_pairing_model_graph():
+    # where the pairing model succeeds the graph is the one it drew, edge for
+    # edge; where it gives up (20 tries fail for some seeds at d = 5), the
+    # switches still give a simple regular graph
+    switched = 0
+    for n in range(4, 15):
+        for d in range(1, min(n, 6)):
+            if n * d % 2:
+                continue
+            for seed, tries in itertools.product(range(3), (20, 1000)):
+                g = random_regular_graph(n, d, seed, max_tries=tries)
+                try:
+                    assert g.edges == random_regular_graph_pairing(n, d, seed, max_tries=tries).edges
+                except RuntimeError:
+                    switched += 1
+                _assert_simple_regular(g, n, d)
+    assert switched
+
+
+def test_random_regular_graph_switches_where_the_pairing_model_fails():
+    for n, d in ((200, 6), (400, 10)):
+        with pytest.raises(RuntimeError, match="pairing model failed"):
+            random_regular_graph_pairing(n, d, 1)
+        g = random_regular_graph(n, d, 1)
+        _assert_simple_regular(g, n, d)
+        assert g == random_regular_graph(n, d, 1)

@@ -1,5 +1,6 @@
 """Blow-up, gadget sampling, and the full unweighting pipeline."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,25 +8,32 @@ import numpy as np
 import pytest
 
 from minsumvc import (
+    AffineUGInstance,
     GadgetSamplingError,
     GadgetSpec,
     Ordering,
     WeightedGraph,
     blow_up,
+    build_long_code_graph,
     complete_graph,
     msvc_exact_dp,
     path_graph,
     sample_gadget,
+    save_graph,
     svc_value,
     unweight,
 )
+from minsumvc.cli import main
 from minsumvc.unweighting import (
     SubsetCheck,
     _certified_subset_check,
+    _disjoint_matching,
     _exhaustive_subset_check,
+    _pad_to_target,
+    _sample_attempt,
 )
 
-from _oracles import min_subset_density
+from _oracles import min_subset_density, pad_to_target_rounds
 
 
 def test_blow_up_single_edge():
@@ -126,6 +134,111 @@ def test_sample_gadget_forced_complete():
     res = sample_gadget(GadgetSpec(4, 0.8, Fraction(1, 4), 3))
     assert np.all(res.adjacency == 1)
     assert res.subset_check.max_deviation <= res.subset_check.bound
+
+
+def _shuffled_circulant(m, k, seed):
+    """An m x m adjacency of k disjoint perfect matchings, rows and columns shuffled.
+
+    Its non-edges form an (m - k)-regular bipartite graph, so each of them
+    lies in some perfect matching (Konig).
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(m), rng.permutation(m)
+    return (rows[:, None] - cols[None, :]) % m < k
+
+
+def test_disjoint_matching_is_a_permutation_avoiding_adj():
+    for m, k in ((1, 0), (2, 1), (6, 3), (16, 8), (48, 30), (48, 47)):
+        adj = _shuffled_circulant(m, k, m + k)
+        for seed in range(20):
+            cols = _disjoint_matching(adj, np.random.default_rng(seed))
+            assert sorted(cols.tolist()) == list(range(m))
+            assert not adj[np.arange(m), cols].any()
+    # a full row or a full column leaves no perfect matching
+    adj = np.zeros((5, 5), dtype=bool)
+    adj[2] = True
+    assert _disjoint_matching(adj, np.random.default_rng(0)) is None
+    assert _disjoint_matching(adj.T.copy(), np.random.default_rng(0)) is None
+
+
+def test_disjoint_matching_meets_every_column_a_row_may_take():
+    adj = _shuffled_circulant(7, 3, 0)
+    met = np.zeros_like(adj)
+    for seed in range(200):
+        cols = _disjoint_matching(adj, np.random.default_rng(seed))
+        met[np.arange(7), cols] = True
+    assert np.array_equal(met, ~adj)
+
+
+def test_partial_matching_keeps_degrees_within_one():
+    for m, w in ((8, 0.5), (10, 0.35), (48, 9 / 64), (48, 3 / 64), (12, 5 / 8)):
+        full = int(np.floor(w * m + 1e-12))
+        for seed in range(20):
+            adj = _sample_attempt(m, w, np.random.default_rng(seed))
+            for degrees in (adj.sum(axis=1), adj.sum(axis=0)):
+                assert full <= degrees.min() and degrees.max() <= full + 1
+
+
+def test_padding_matches_the_round_by_round_loop():
+    # the same first-fit completion, and the same rng draws, as the loop that
+    # read each round's deficits off the adjacency with numpy indexing
+    outcomes = set()
+    for m, w, target in ((8, 0.5, 5), (12, 5 / 8, 9), (16, 0.5, 10), (48, 9 / 64, 9), (6, 0.5, 4)):
+        for seed in range(30):
+            adj = _sample_attempt(m, w, np.random.default_rng(seed))
+            if adj is None:
+                continue
+            old = adj.copy()
+            added = _pad_to_target(adj, target - adj.sum(axis=1), target - adj.sum(axis=0),
+                                   np.random.default_rng([seed, 1]))
+            assert added == pad_to_target_rounds(old, target, np.random.default_rng([seed, 1]))
+            if added is not None:
+                assert np.array_equal(adj, old)
+                assert set(adj.sum(axis=0)) == set(adj.sum(axis=1)) == {target}
+            outcomes.add(added is None)
+    assert outcomes == {True, False}
+
+
+# (m, w, eps) and the mean retries over seeds 0-39 of the per-row matching
+# sampler that the whole-array one replaced
+RETRY_CASES = [
+    (8, 0.5, Fraction(1, 4), 1.1), (10, 0.5, Fraction(1, 5), 1.72), (6, 0.5, Fraction(1, 3), 1.48),
+    (16, 0.5, Fraction(1, 4), 2.3), (32, 0.5, Fraction(1, 4), 4.53), (64, 3 / 8, Fraction(1, 3), 2.0),
+    (12, 5 / 8, Fraction(1, 5), 4.68), (48, 9 / 64, Fraction(1, 3), 0.18), (48, 3 / 64, Fraction(1, 3), 0.0),
+]
+
+
+@pytest.mark.parametrize("m, w, eps, before", RETRY_CASES)
+def test_gadget_retries_stay_near_the_per_row_sampler(m, w, eps, before):
+    retries = [sample_gadget(GadgetSpec(m, w, eps, seed)).retries for seed in range(40)]
+    assert np.mean(retries) <= 1.5 * before + 0.5
+
+
+def test_dense_gadgets_draw_every_matching():
+    # floor(wm) = m - 1 or m - 2: the last matchings must avoid all but two
+    # or three columns of each row, where the per-row sampler ran out of
+    # retries for every one of these seeds
+    for m, w, eps in ((48, 47 / 48, Fraction(1, 47)), (32, 15 / 16, Fraction(1, 15))):
+        for seed in range(5):
+            res = sample_gadget(GadgetSpec(m, w, eps, seed))
+            assert res.adjacency.all() and res.subset_check.passed
+
+
+def test_unweight_of_a_benchmark_shaped_graph_prints_what_it_did(tmp_path, capsys):
+    # an L = 2 reduction graph of 224 edges, m = 48, eps = 1/3: the gadgets
+    # differ from those of the per-row sampler, but stdout and the
+    # certificate counts do not
+    instance = AffineUGInstance(2, 4, 4, tuple((u, (u + j) % 4, u * j % 2) for j in range(2) for u in range(4)))
+    save_graph(build_long_code_graph(instance, -0.5), tmp_path / "in.graph")
+    argv = ["unweight", "--input", str(tmp_path / "in.graph"), "--m", "48", "--eps", "1/3", "--seed", "0",
+            "--out", str(tmp_path / "out.graph")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        '{\n  "n": 768,\n  "m": 47616,\n  "degree_spread": 0,\n  "degree_histogram": {\n    "124": 768\n  },\n'
+        '  "slack_3eps_blowup": 35712.0,\n  "slack_2eps_output": 31744.0\n}\n'
+    )
+    assert json.loads(err.splitlines()[0])["certificates"] == {"degree": 224}
 
 
 def test_subset_check_matches_direct_enumeration():
