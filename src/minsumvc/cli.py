@@ -260,6 +260,11 @@ def _cmd_unweight(args):
     return payload, {"certificates": dict(sorted(certificates.items()))}
 
 
+def _fields(report, *omit):
+    """A report dataclass's fields as a dict, in declaration order, less those named."""
+    return {k: v for k, v in asdict(report).items() if k not in omit}
+
+
 def _cmd_regular_ratio(args):
     analysis = optimize_two_phase(args.alpha)
     if args.emit_curve:
@@ -268,13 +273,7 @@ def _cmd_regular_ratio(args):
             fh.write("eps,ratio\n")
             for e in eps_grid:
                 fh.write(f"{e:.6f},{two_phase_ratio(float(e), args.alpha):.10f}\n")
-    payload = {
-        "alpha": analysis.alpha,
-        "optimal_eps": analysis.optimal_eps,
-        "optimal_ratio": analysis.optimal_ratio,
-        "branch_gap": analysis.branch_gap,
-    }
-    return payload
+    return _fields(analysis, "grid_step")
 
 
 def _cmd_regular_counterexample(args):
@@ -294,20 +293,7 @@ def _cmd_regular_counterexample(args):
         save_graph(graph, args.out)
     if args.verify:
         rep = verify_counterexample(params)
-        payload["verify"] = {
-            "staged_value": rep.staged_value,
-            "exact_value": rep.exact_value,
-            "exact_mode": rep.exact_mode,
-            "value_over_n2": rep.value_over_n2,
-            "value_over_nm": rep.value_over_nm,
-            "normalized_target": rep.normalized_target,
-            "normalized_gap": rep.normalized_gap,
-            "best_half_coverage": rep.best_half_coverage,
-            "coverage_cap": rep.coverage_cap,
-            "coverage_margin": rep.coverage_margin,
-            "uncovered_after_half": rep.uncovered_after_half,
-            "vertex_cover_number": rep.vertex_cover_number,
-        }
+        payload["verify"] = _fields(rep, "params", "n", "m", "formula_value")
     return payload
 
 

@@ -14,8 +14,10 @@ The general case is computed by one-dimensional quadrature of
 
 over z <= Phi^-1(u), truncated at |z| <= 8.  The region where the inner
 Phi factor is saturated (0 or 1 beyond 8 standard deviations) is integrated
-in closed form; Gauss-Legendre nodes cover the remaining transition window,
-with a node-doubling check on the scalar path.
+in closed form; Gauss-Legendre nodes cover the remaining transition window.
+One quadrature core, on arrays of quantiles, serves both paths: the scalar
+gaussian_copula calls it on one-element arrays with a node-doubling check,
+and copula_diag_grid on a whole grid at a fixed node count.
 
 The diagonal slice C_rho(r, r), its derivative in r, and its integral over
 r in [0, 1] are what the hardness bounds consume.  The derivative has the
@@ -28,6 +30,7 @@ that import is about half of the CLI's start-up time and memory.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,14 +41,13 @@ SQRT_TAU = math.sqrt(2.0 * math.pi)
 # Truncation radius for normal tails; Phi(-8) ~ 6.2e-16.
 Z_CUT = 8.0
 
-_GL_CACHE = {}
-_BLOCK = 512  # quadrature columns per slab in copula_diag_grid
+_BLOCK = 512  # quadrature columns per slab in _copula_quad
+_GRID_NODES = 160  # Gauss-Legendre nodes per window in copula_diag_grid
 
 
+@functools.cache
 def _gauss_legendre(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def phi_pdf(x):
@@ -129,38 +131,59 @@ def phi_inv_vec(p):
 
 
 def _copula_quad(rho, bx, by, n_nodes):
-    """Quadrature for C_rho at quantiles (bx, by), |rho| < 1, rho != 0.
+    """Quadrature for C_rho at arrays of quantiles (bx, by), |rho| < 1, rho != 0.
 
     Splits [-Z_CUT, min(bx, Z_CUT)] into the part where the inner Phi factor
-    is saturated at 1 (closed form) and the transition window (Gauss-Legendre).
+    is saturated at 1 (closed form) and the transition window (n_nodes
+    Gauss-Legendre nodes).  An empty window (bx <= -Z_CUT, or no transition
+    inside [-Z_CUT, bx]) has half-width 0 and adds exactly 0.0.
     """
     from scipy.special import ndtr
 
     s = math.sqrt(1.0 - rho * rho)
     a0 = -Z_CUT
-    b0 = min(bx, Z_CUT)
-    if b0 <= a0:
-        return 0.0
-    # endpoints where (by - rho z)/s hits +Z_CUT and -Z_CUT
-    z_plus = (by - Z_CUT * s) / rho
-    z_minus = (by + Z_CUT * s) / rho
-    z_plus_c = max(a0, min(z_plus, b0))
+    b0 = np.minimum(bx, Z_CUT)
+    # endpoints where (by - rho z)/s hits -Z_CUT and +Z_CUT
+    z1 = (by + Z_CUT * s) / rho
+    z2 = (by - Z_CUT * s) / rho
+    z_lo, z_hi = (z1, z2) if rho < 0.0 else (z2, z1)
+    qa = np.clip(z_lo, a0, b0)
+    qb = np.clip(z_hi, a0, b0)
     if rho < 0.0:
-        # factor increases with z, saturates at 1 above z_plus
-        ones = max(0.0, float(ndtr(b0) - ndtr(z_plus_c)))
+        # factor increases with z, saturates at 1 above qb
+        ones = np.maximum(0.0, ndtr(b0) - ndtr(qb))
     else:
-        # factor decreases with z, saturates at 1 below z_plus
-        ones = max(0.0, float(ndtr(z_plus_c) - ndtr(a0)))
-    qa = max(a0, min(min(z_plus, z_minus), b0))
-    qb = max(a0, min(max(z_plus, z_minus), b0))
-    if qb <= qa:
-        return ones
+        # factor decreases with z, saturates at 1 below qa
+        ones = np.maximum(0.0, ndtr(qa) - ndtr(a0))
+
     t, w = _gauss_legendre(n_nodes)
     half = 0.5 * (qb - qa)
     mid = 0.5 * (qb + qa)
-    z = mid + half * t
-    vals = np.exp(-0.5 * z * z) / SQRT_TAU * ndtr((by - rho * z) / s)
-    return ones + half * float(np.dot(w, vals))
+    # slabs of _BLOCK columns, the last up to twice as wide (a last slab of
+    # 1-3 columns moved the product's last bits): each column gets the
+    # operations and the bits of one n_nodes x N slab, without its size.
+    # Three buffers sized for the widest slab hold each slab's values in
+    # turn, every operation writing in place.  Three arrays, not one of
+    # three rows: freeing a 3.9 MB block raises glibc's mmap threshold,
+    # and a later exact DP in the same process then peaked 9 MB higher.
+    stops = [*range(_BLOCK, bx.size - _BLOCK + 1, _BLOCK), bx.size]
+    slabs = list(zip([0, *stops], stops))
+    bufs = [np.empty(n_nodes * max(hi - lo for lo, hi in slabs)) for _ in range(3)]
+    for lo, hi in slabs:
+        z, e, a = (buf[: n_nodes * (hi - lo)].reshape(n_nodes, -1) for buf in bufs)
+        np.multiply(half[lo:hi], t[:, None], out=z)
+        z += mid[lo:hi]
+        np.multiply(z, -0.5, out=e)
+        e *= z
+        np.exp(e, out=e)
+        e /= SQRT_TAU
+        np.multiply(z, rho, out=a)
+        np.subtract(by[lo:hi], a, out=a)
+        a /= s
+        ndtr(a, out=a)
+        e *= a
+        ones[lo:hi] += half[lo:hi] * (w @ e)
+    return ones
 
 
 def gaussian_copula(rho, x, y):
@@ -189,9 +212,10 @@ def gaussian_copula(rho, x, y):
     by = phi_inv(y)
     if abs(rho) < 1e-12:
         return float(y * (ndtr(min(bx, Z_CUT)) - ndtr(-Z_CUT)))
-    val = _copula_quad(rho, bx, by, 96)
+    bx, by = np.array([bx]), np.array([by])
+    val = float(_copula_quad(rho, bx, by, 96)[0])
     for n in (192, 384):
-        ref = _copula_quad(rho, bx, by, n)
+        ref = float(_copula_quad(rho, bx, by, n)[0])
         if abs(ref - val) <= 1e-10:
             return ref
         val = ref
@@ -203,12 +227,11 @@ def copula_diag(rho, r):
     return gaussian_copula(rho, r, r)
 
 
-def copula_diag_grid(rho, r, n_nodes=160):
+def copula_diag_grid(rho, r):
     """Vectorized C_rho(r_i, r_i) over an array of r values in [0, 1].
 
-    Same saturated-region decomposition as the scalar path, with fixed
-    Gauss-Legendre nodes on each transition window.  Agreement with the
-    scalar route is pinned by tests.
+    The scalar path's quadrature core, with _GRID_NODES fixed nodes on each
+    transition window.  Agreement with the scalar route is pinned by tests.
     """
     from scipy.special import ndtr
 
@@ -234,47 +257,7 @@ def copula_diag_grid(rho, r, n_nodes=160):
         out[inner] = r[inner] * (ndtr(np.minimum(b, Z_CUT)) - tiny)
         return out
 
-    s = math.sqrt(1.0 - rho * rho)
-    a0 = -Z_CUT
-    b0 = np.minimum(b, Z_CUT)
-    z1 = (b + Z_CUT * s) / rho
-    z2 = (b - Z_CUT * s) / rho
-    z_lo, z_hi = (z1, z2) if rho < 0.0 else (z2, z1)
-    qa = np.clip(z_lo, a0, b0)
-    qb = np.clip(z_hi, a0, b0)
-    if rho < 0.0:
-        ones = np.maximum(0.0, ndtr(b0) - ndtr(qb))
-    else:
-        ones = np.maximum(0.0, ndtr(qa) - ndtr(a0))
-
-    t, w = _gauss_legendre(n_nodes)
-    half = 0.5 * (qb - qa)
-    mid = 0.5 * (qb + qa)
-    # slabs of _BLOCK columns, the last up to twice as wide (a last slab of
-    # 1-3 columns moved the product's last bits): each column gets the
-    # operations and the bits of one n_nodes x N slab, without its size.
-    # Three buffers sized for the widest slab hold each slab's values in
-    # turn, every operation writing in place.  Three arrays, not one of
-    # three rows: freeing a 3.9 MB block raises glibc's mmap threshold,
-    # and a later exact DP in the same process then peaked 9 MB higher.
-    stops = [*range(_BLOCK, b.size - _BLOCK + 1, _BLOCK), b.size]
-    slabs = list(zip([0, *stops], stops))
-    bufs = [np.empty(n_nodes * max(hi - lo for lo, hi in slabs)) for _ in range(3)]
-    for lo, hi in slabs:
-        z, e, a = (buf[: n_nodes * (hi - lo)].reshape(n_nodes, -1) for buf in bufs)
-        np.multiply(half[lo:hi], t[:, None], out=z)
-        z += mid[lo:hi]
-        np.multiply(z, -0.5, out=e)
-        e *= z
-        np.exp(e, out=e)
-        e /= SQRT_TAU
-        np.multiply(z, rho, out=a)
-        np.subtract(b[lo:hi], a, out=a)
-        a /= s
-        ndtr(a, out=a)
-        e *= a
-        ones[lo:hi] += half[lo:hi] * (w @ e)
-    out[inner] = ones
+    out[inner] = _copula_quad(rho, b, b, _GRID_NODES)
     return out
 
 

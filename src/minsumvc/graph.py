@@ -445,8 +445,7 @@ def _parse_plain(block, columns):
     digit by digit.  Float tokens are grouped by a hash of their bytes, and
     each is compared byte for byte with one token of its group; float()
     parses that one, rounding as np.loadtxt does.  The arrays peak at about
-    four bytes per byte of the block, and numpy drops the GIL for the work
-    on the larger ones.
+    four bytes per byte of the block.
     """
     size, k = len(block) - len(_PADDING), len(columns)
     text = np.frombuffer(block, np.uint8)

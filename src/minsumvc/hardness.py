@@ -367,12 +367,18 @@ def optimize_config(seed_cfg, budget, steps=20000, g=12):
             return True
         return False
 
+    def moved(i, d, x, base=None):
+        """base (the current pairs) with pair i's alpha times x (d = 0) or rho plus x in [RHO_MIN, RHO_MAX]."""
+        cand = [p[:] for p in base or pairs]
+        cand[i][d] = cand[i][0] * x if d == 0 else min(RHO_MAX, max(RHO_MIN, cand[i][1] + x))
+        return cand
+
     def step(size):
         """The current pairs moved size along direction."""
-        cand = [p[:] for p in pairs]
+        cand = pairs
         for i in range(k):
-            cand[i][0] *= float(np.exp(size * direction[2 * i]))
-            cand[i][1] = min(RHO_MAX, max(RHO_MIN, cand[i][1] + size * direction[2 * i + 1]))
+            cand = moved(i, 0, float(np.exp(size * direction[2 * i])), cand)
+            cand = moved(i, 1, size * direction[2 * i + 1], cand)
         return cand
 
     pairs = [list(p) for p in seed_cfg.pairs]
@@ -383,30 +389,18 @@ def optimize_config(seed_cfg, budget, steps=20000, g=12):
         for delta in (0.08, 0.04, 0.02, 0.01, 0.005):
             for i in range(k):
                 for sign in (+1, -1):
-                    cand = [p[:] for p in pairs]
-                    cand[i][1] = min(RHO_MAX, max(RHO_MIN, cand[i][1] + sign * delta))
-                    offer(cand)
+                    offer(moved(i, 1, sign * delta))
                 if k > 1:
                     for factor in (1.0 + 2.0 * delta, 1.0 / (1.0 + 2.0 * delta)):
-                        cand = [p[:] for p in pairs]
-                        cand[i][0] *= factor
-                        offer(cand)
+                        offer(moved(i, 0, factor))
 
         # finite-difference gradient ascent on (log alpha_i, rho_i)
         h = 1e-3
         while True:
             grad = np.zeros(2 * k)
             for i in range(k):
-                for d in (0, 1):
-                    hi = [p[:] for p in pairs]
-                    lo = [p[:] for p in pairs]
-                    if d == 0:
-                        hi[i][0] *= np.exp(h)
-                        lo[i][0] *= np.exp(-h)
-                    else:
-                        hi[i][1] = min(RHO_MAX, hi[i][1] + h)
-                        lo[i][1] = max(RHO_MIN, lo[i][1] - h)
-                    grad[2 * i + d] = (evaluate(hi) - evaluate(lo)) / (2 * h)
+                for d, up, down in ((0, np.exp(h), np.exp(-h)), (1, h, -h)):
+                    grad[2 * i + d] = (evaluate(moved(i, d, up)) - evaluate(moved(i, d, down))) / (2 * h)
             norm = float(np.linalg.norm(grad))
             if norm < 1e-12:
                 break

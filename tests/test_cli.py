@@ -240,6 +240,7 @@ def test_regular_ratio_and_curve(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "regular", "ratio", "--emit-curve", str(curve))
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["alpha", "optimal_eps", "optimal_ratio", "branch_gap"]
     assert payload["alpha"] == 0.9401
     assert payload["optimal_ratio"] == pytest.approx(1.2245, abs=1e-3)
     lines = curve.read_text().splitlines()
@@ -257,6 +258,12 @@ def test_regular_counterexample_verify(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["p", "q", "scale", "delta", "n", "t", "s", "m", "verify"]
+    assert list(payload["verify"]) == [
+        "staged_value", "exact_value", "exact_mode", "value_over_n2", "value_over_nm",
+        "normalized_target", "normalized_gap", "best_half_coverage", "coverage_cap",
+        "coverage_margin", "uncovered_after_half", "vertex_cover_number",
+    ]
     assert payload["n"] == 10 and payload["t"] == 2 and payload["s"] == 2
     assert payload["verify"]["staged_value"] == 31.0
     assert payload["verify"]["exact_value"] == 31.0

@@ -1,7 +1,6 @@
 """The byte record codec shared by the four text formats."""
 
 import io
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -490,20 +489,6 @@ def test_no_table_read_starts_a_pool(tmp_path):
                 for kind, (load, fmt, data, _) in FILES.items():
                     expected = _outcome(lambda: read_records_text(data.decode(), fmt))
                     assert _outcome(lambda: load(tmp_path / kind)) == expected
-
-
-def test_blocks_parsed_on_more_threads_than_cpus_are_placed_in_order(tmp_path):
-    g = build_long_code_graph(random_affine_instance(3, 3, 2, seed=1)[0], -0.5)
-    path = tmp_path / "g.graph"
-    save_graph(g, path)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with mock.patch.object(graph_module, "_workers", lambda: 8), \
-                mock.patch.object(graph_module, "_BLOCK_BYTES", 64):
-            assert _bits(load_graph(path)) == _bits(g)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_a_loaded_graph_checks_its_edges_once(tmp_path):

@@ -98,6 +98,40 @@ def test_copula_domain_checks():
         gaussian_copula(0.0, 0.5, 1.1)
 
 
+# gaussian_copula's repr as `gaussian gamma` prints it, recorded before the
+# scalar and grid paths shared one quadrature core: rho of both signs and
+# within 1e-10 of +-1, x = y and x != y, quadrature at rho = +-1e-11 and the
+# rho ~ 0 branch at +-1e-13, an empty window (x = 1e-300), y = 1 - 1e-13,
+# and the closed forms.
+_GAMMA_BYTES = [
+    (-0.52, 0.3, 0.3, 0.030985021635002274),
+    (-0.52, 0.2, 0.7, 0.08217163753501705),
+    (0.5, 0.4, 0.4, 0.2391272473854144),
+    (0.5, 0.1, 0.85, 0.09846025715431589),
+    (1e-11, 0.3, 0.6, 0.18000000000134933),
+    (-1e-11, 0.3, 0.3, 0.08999999999879409),
+    (1e-13, 0.3, 0.6, 0.17999999999999958),
+    (-1e-13, 0.3, 0.6, 0.17999999999999958),
+    (0.9999999999, 0.25, 0.25, 0.2499982071376031),
+    (-0.9999999999, 0.6, 0.6, 0.20000000000000012),
+    (-0.9, 1e-300, 0.5, 0.0),
+    (0.9, 1e-300, 0.5, 0.0),
+    (0.7, 0.4, 0.9999999999999, 0.3999999999999994),
+    (-0.3, 0.9999999999999, 0.9999999999999, 0.9999999999998034),
+    (1.0, 0.3, 0.6, 0.3),
+    (-1.0, 0.7, 0.6, 0.2999999999999998),
+    (0.0, 0.3, 0.6, 0.17999999999999958),
+    (-0.52, 0.0, 0.5, 0.0),
+    (-0.52, 1.0, 0.25, 0.25),
+]
+
+
+@pytest.mark.parametrize("rho, x, y, value", _GAMMA_BYTES)
+def test_copula_prints_its_pinned_bytes(rho, x, y, value):
+    got = gaussian_copula(rho, x, y)
+    assert type(got) is float and repr(got) == repr(value)
+
+
 def test_diag_grid_matches_scalar():
     r = np.linspace(0.0, 1.0, 101)
     for rho in (-0.9, -0.52, -0.1, 0.3):

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -219,6 +221,22 @@ def test_parallel_map_runs_short_lists_without_a_pool(monkeypatch):
     assert graph_module._parallel_map(lambda x: 2 * x, [3]) == [6]
     with pytest.raises(AssertionError, match="pool started"):
         graph_module._parallel_map(lambda x: 2 * x, [3, 4])
+
+
+def test_parallel_map_on_more_threads_than_cpus_keeps_input_order(monkeypatch):
+    # uneven work and a short switch interval let later items finish first
+    def work(i):
+        return i, threading.get_ident(), sum(range(i * 7919 % 5000))
+
+    monkeypatch.setattr(graph_module, "_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = graph_module._parallel_map(work, range(400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [i for i, _, _ in results] == list(range(400))
+    assert len({thread for _, thread, _ in results}) > 1
 
 
 def test_distinct_matches_np_unique():
