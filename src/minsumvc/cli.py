@@ -55,7 +55,7 @@ GRAPH_FORMAT_HELP = """\
 graph file format (text, LF-terminated):
   line 1: msvc-graph 1
   line 2: n m
-  then m lines: u v w   (0-based integer ids, decimal weight; unit graphs use w = 1)
+  then m lines: u v w   (0-based integer ids below 2^31, decimal weight; unit graphs use w = 1)
 """
 
 CONFIG_FORMAT_HELP = """\

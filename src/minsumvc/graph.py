@@ -14,7 +14,7 @@ which equals the sum over t = 0..n-1 of the total weight still uncovered
 after the first t visits.  svc_value computes the first; tests hold it
 against the second.
 
-Text format (LF line endings, 0-based vertex ids)::
+Text format (LF line endings, 0-based integer ids below 2^31)::
 
     msvc-graph 1
     <n> <m>
@@ -52,6 +52,10 @@ GRAPH_MAGIC = "msvc-graph 1"
 
 # Bitmask tables are only built while 2^n stays modest.
 _TABLE_MAX_BITS = 24
+
+# Vertex counts stay below this, so that ids fit int32 (16 bytes per edge,
+# not 24); the n-entry arrays of degrees and positions would not fit past it.
+_MAX_VERTICES = 1 << 31
 
 # Rows per chunk: of a table written (a few MB of text at a time), and of
 # the edges whose cover times svc_value gathers.
@@ -101,12 +105,28 @@ def _first_problem(bad):
 
 
 def _edge_problem(n, u, v, w):
-    """(row, reason) for the first edge that breaks the graph invariants, or None."""
+    """(row, reason) for the first edge that breaks the graph invariants, or None.
+
+    The bounds of the columns are tested first (NaN fails them too), so
+    that a valid graph builds no mask as long as the edge list but u == v.
+    """
+    if (min(u.size, v.size, w.size) and 0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n
+            and w.min() > 0.0 and np.isfinite(w.max()) and not (u == v).any()):
+        return None
     return _first_problem({
         "vertex id out of range": (u < 0) | (u >= n) | (v < 0) | (v >= n),
         "self-loop": u == v,
         "weight must be positive and finite": ~(np.isfinite(w) & (w > 0.0)),
     })
+
+
+def _vertex_count(n):
+    """int(n), for 0 <= n < _MAX_VERTICES; a ValueError otherwise."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n >= _MAX_VERTICES:
+        raise ValueError(f"vertex count must be below 2^31, got {n}")
+    return int(n)
 
 
 class WeightedGraph:
@@ -125,21 +145,24 @@ class WeightedGraph:
 
     @classmethod
     def _from_checked(cls, n, u, v, w):
-        """The graph of int64 u, v and float64 w that _edge_problem has passed, not checked again."""
+        """The graph of int32 u, v (0-based integer ids below 2^31) and float64 w.
+
+        _edge_problem has passed them, and they are not checked again; only n is.
+        """
         g = cls.__new__(cls)
-        g.n, g._u, g._v, g._w = n, u, v, w
+        g.n, g._u, g._v, g._w = _vertex_count(n), u, v, w
         return g
 
     def _assign(self, n, u, v, w):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = int(n)
-        self._u = np.asarray(u, dtype=np.int64)
-        self._v = np.asarray(v, dtype=np.int64)
+        # int32 ids are checked as they come, any others as int64; then narrowed once
+        self.n = _vertex_count(n)
+        u, v = np.asarray(u), np.asarray(v)
+        u, v = (x if x.dtype == np.int32 else x.astype(np.int64, copy=False) for x in (u, v))
         self._w = np.asarray(w, dtype=np.float64)
-        problem = _edge_problem(self.n, self._u, self._v, self._w)
+        problem = _edge_problem(self.n, u, v, self._w)
         if problem is not None:
             raise ValueError(f"edge {problem[0]}: {problem[1]}")
+        self._u, self._v = u.astype(np.int32, copy=False), v.astype(np.int32, copy=False)
 
     @property
     def m(self):
@@ -153,7 +176,7 @@ class WeightedGraph:
         ]
 
     def edge_arrays(self):
-        """Return (u, v, w) as read-only views of the internal arrays."""
+        """Return (u, v, w), int32 ids and float64 weights, as read-only views of the internal arrays."""
         return self._u, self._v, self._w
 
     def total_weight(self):
@@ -349,6 +372,13 @@ _PADDING = bytes(_FLOAT_BYTES)
 
 
 def _loadtxt(text, dtype):
+    """np.loadtxt of text, each integer field of dtype parsed in 64 bits, as _plain_integers does.
+
+    (With a narrower field, loadtxt raises OverflowError, not ValueError, on a large id.)
+    """
+    dtype = np.dtype(dtype)
+    if dtype.names:
+        dtype = np.dtype([(name, np.int64 if dtype[name].kind == "i" else dtype[name]) for name in dtype.names])
     return np.loadtxt(io.BytesIO(text), dtype=dtype, comments=None, ndmin=1, encoding="ascii")
 
 
@@ -413,7 +443,13 @@ def _read_table(stream, columns, count):
         if rows > count - filled:
             return None, miscount
         for field, column in zip(fields, table):
-            field[filled : filled + rows] = column
+            # integers are parsed in 64 bits; a narrower field holds them
+            # clamped, so an id past its range stays out of range
+            if column.dtype == field.dtype:
+                field[filled : filled + rows] = column
+            else:
+                info = np.iinfo(field.dtype)
+                column.clip(info.min, info.max, out=field[filled : filled + rows])
         filled += rows
     return (fields, None) if filled == count else (None, miscount)
 
@@ -616,7 +652,7 @@ def _write_records(fmt, header, fields):
             values = values[lo : lo + _CHUNK_ROWS]
             to_text = str if values.dtype.kind == "i" else fmt.float_text
             # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
-            bits = values.view(np.uint64)
+            bits = values.view(f"u{values.itemsize}")
             keys = _distinct(bits)
             table = np.array([to_text(x) for x in keys.view(values.dtype).tolist()], dtype=bytes)
             cells.append((table, keys, bits))
@@ -681,7 +717,7 @@ def _save_records(path, chunks):
 _GRAPH_FORMAT = _RecordFormat(
     GRAPH_MAGIC,
     ("n", "m"),
-    np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+    np.dtype([("u", np.int32), ("v", np.int32), ("w", np.float64)]),
     GraphFormatError,
     build=lambda header, fields: WeightedGraph._from_checked(header[0], *fields),
     check=lambda header, fields: _edge_problem(header[0], *fields),

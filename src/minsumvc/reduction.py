@@ -170,7 +170,7 @@ def build_long_code_graph(instance, rho):
     blocks = [(v1, c1, v2, c2) for pairs in _edges_by_u(instance) for v1, c1 in pairs for v2, c2 in pairs]
     # a block keeps all size^2 code pairs but the size self-loops of v1 == v2
     m = sum(size * size - size * (v1 == v2) for v1, _, v2, _ in blocks)
-    u, v, w = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
+    u, v, w = np.empty(m, np.int32), np.empty(m, np.int32), np.empty(m)
     end = 0
     for v1, c1, v2, c2 in blocks:
         weight = pw[np.bitwise_count(_rotate(codes, c1, L)[:, None] ^ _rotate(codes, c2, L)[None, :])]

@@ -69,8 +69,9 @@ def blow_up(graph, m):
     u, v, w = graph.edge_arrays()
     i = np.arange(m, dtype=np.int64)
     shape = (graph.m, m, m)
-    src = np.broadcast_to(u[:, None, None] * m + i[None, :, None], shape).reshape(-1)
-    dst = np.broadcast_to(v[:, None, None] * m + i[None, None, :], shape).reshape(-1)
+    # ids times m in 64 bits: int32 ids times m would wrap past 2^31
+    src = np.broadcast_to(u[:, None, None].astype(np.int64) * m + i[None, :, None], shape).reshape(-1)
+    dst = np.broadcast_to(v[:, None, None].astype(np.int64) * m + i[None, None, :], shape).reshape(-1)
     ww = np.repeat(w, m * m)
     return WeightedGraph.from_arrays(graph.n * m, src, dst, ww), BlowUpMap(m, graph.n)
 
@@ -391,8 +392,9 @@ def unweight(graph, m, eps, seed):
         gadget_seed = int(child.generate_state(1, np.uint64)[0])
         res = sample_gadget(GadgetSpec(m, float(w[idx]), eps, gadget_seed))
         rows, cols = np.nonzero(res.adjacency)
-        src.append(u[idx] * m + rows)
-        dst.append(v[idx] * m + cols)
+        # in Python ints: an int32 id times m would wrap past 2^31
+        src.append(int(u[idx]) * m + rows)
+        dst.append(int(v[idx]) * m + cols)
         results.append(res)
     n = graph.n * m
     if src:

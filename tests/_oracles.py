@@ -244,12 +244,22 @@ def read_records_text(text, fmt):
 
     Line 1 is the magic line and line 2 the header.  Blank lines after them
     are skipped and the row count must match exactly.  Numbers are read by
-    np.loadtxt.  Errors are fmt.error; those about a line name it.
+    np.loadtxt, integers in 64 bits, and stored clamped into fmt.columns.
+    Errors are fmt.error; those about a line name it.
     """
 
     def parse(chunk, dtype):
+        """np.loadtxt of chunk, with integer fields in 64 bits."""
+        if dtype is not np.int64:
+            dtype = [(name, np.int64 if dtype[name].kind == "i" else dtype[name]) for name in dtype.names]
         data = io.BytesIO(chunk.encode())
         return np.loadtxt(data, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
+
+    def stored(column, dtype):
+        """A parsed column as fmt.columns holds it: integers clamped to the dtype's range."""
+        if dtype.kind == "i":
+            column = np.clip(column, np.iinfo(dtype).min, np.iinfo(dtype).max)
+        return np.ascontiguousarray(column, dtype=dtype)
 
     lines = text.split("\n", 2)
     if lines[0].strip() != fmt.magic:
@@ -303,7 +313,7 @@ def read_records_text(text, fmt):
                 fail(lo, f"expected {' '.join(fmt.columns.names)!r}")
             fail(count, f"expected {count} rows")
         found = table.size
-        fields = [np.ascontiguousarray(table[name]) for name in fmt.columns.names]
+        fields = [stored(table[name], fmt.columns[name]) for name in fmt.columns.names]
     if found != count:
         fail(count, f"expected {count} rows")
     problem = fmt.check and fmt.check(header, fields)
@@ -325,7 +335,7 @@ def write_records_text(fmt, header, fields):
     for values in map(np.asarray, fields):
         to_text = str if values.dtype.kind == "i" else fmt.float_text
         # distinct by bit pattern, so that 0.0 and -0.0 keep their own text
-        keys, index = np.unique(values.view(np.uint64), return_inverse=True)
+        keys, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
         names = [to_text(x) for x in keys.view(values.dtype).tolist()]
         texts.append(np.array(names, dtype=object)[index])
     rows = zip(*texts) if fmt.columns is not None else texts

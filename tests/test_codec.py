@@ -338,6 +338,38 @@ def test_save_and_load_graph_peaks_stay_near_the_file_size(tmp_path):
     assert svc_peak < 0.85 * arrays
 
 
+def test_a_long_code_graph_holds_16_bytes_per_edge(tmp_path):
+    """Traced peaks on the graph of the test above, with int32 ids.
+
+    An int64 array as long as the edge list would add 0.5x the graph's
+    arrays (16 bytes per edge) to the build, and about 0.28x the file size
+    to save and load.
+    """
+    instance, _ = random_affine_instance(7, 4, 2, seed=0)
+    path = tmp_path / "long_code.graph"
+    tracemalloc.start()
+    try:
+        g = build_long_code_graph(instance, -0.52)
+        build_held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        save_graph(g, path)
+        save_peak = tracemalloc.get_traced_memory()[1] - build_held
+        del g
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_graph(path)
+        load_held, load_peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    arrays, size = 16 * loaded.m, path.stat().st_size
+    assert [a.dtype for a in loaded.edge_arrays()] == [np.int32, np.int32, np.float64]
+    assert build_held < 1.01 * arrays
+    assert build_peak < 1.25 * arrays
+    assert save_peak < 0.9 * size
+    assert load_held < 0.6 * size
+    assert load_peak < 0.75 * size
+
+
 def test_a_bad_last_row_of_a_long_code_graph_fails_in_file_sized_memory(tmp_path):
     """The graph of the test above with its last row broken, then a self-loop.
 
@@ -424,16 +456,62 @@ def test_plain_tables_parse_bit_for_bit_like_the_str_oracle_without_loadtxt(tabl
 def test_plain_rows_cover_every_spelling_of_a_weight():
     weights = ["0.1", "1e-5", "1.", ".5", "1E+05", "+2.5", "5e-324", "1e308", "2E-3", "123456789012345678901234"]
     ids = ["0", "7", "123456789012345678", "000000000000000001"]
-    text = f"msvc-graph 1\n{10**18} {len(weights)}\n" + "".join(
-        f"{ids[i % 4]} {ids[(i + 1) % 4]} {w}\n" for i, w in enumerate(weights)
-    )
-    with _spy_loadtxt() as loadtxt:
-        fields = graph_module._read_records(text, _fields(_GRAPH_FORMAT))
-    assert loadtxt.call_count == 1
-    assert [(c.dtype.str, c.tobytes()) for c in fields] == _column_outcome(
-        lambda: read_records_text(text, _fields(_GRAPH_FORMAT)))[1]
-    assert fields[2].tolist() == [float(w) for w in weights]
-    assert fields[0].tolist() == [int(ids[i % 4]) for i in range(len(weights))]
+    # graph ids are int32: the 18-digit ids are read from a UG table, whose columns are int64
+    graph_ids = ["0", "7", "3", "000000000000000001"]
+    tables = [
+        (_GRAPH_FORMAT, f"msvc-graph 1\n8 {len(weights)}\n" + "".join(
+            f"{graph_ids[i % 4]} {graph_ids[(i + 1) % 4]} {w}\n" for i, w in enumerate(weights))),
+        (_UG_FORMAT, f"msvc-ug 1\n50 {10**18} {10**18} {len(weights)}\n" + "".join(
+            f"{ids[i % 4]} {ids[(i + 1) % 4]} {i}\n" for i in range(len(weights)))),
+    ]
+    read = []
+    for fmt, text in tables:
+        with _spy_loadtxt() as loadtxt:
+            read.append(graph_module._read_records(text, _fields(fmt)))
+        assert loadtxt.call_count == 1
+        assert [(c.dtype.str, c.tobytes()) for c in read[-1]] == _column_outcome(
+            lambda: read_records_text(text, _fields(fmt)))[1]
+    assert read[0][2].tolist() == [float(w) for w in weights]
+    assert read[0][0].tolist() == [int(graph_ids[i % 4]) for i in range(len(weights))]
+    assert read[1][0].tolist() == [int(ids[i % 4]) for i in range(len(weights))]
+
+
+@pytest.mark.parametrize("bad", [-1, 2**31, 2**40, 10**18])
+def test_an_id_past_the_int32_range_is_out_of_range_on_its_line(tmp_path, bad):
+    """Ids are parsed in 64 bits and stored clamped to int32, in plain rows and in np.loadtxt's."""
+    rows = [b"0 1 1.5", b"1 2 2", b"2 3 0.25", b"3 0 4"]
+    path = tmp_path / "g.graph"
+    for i in range(len(rows)):
+        for column in (0, 1):
+            for separator in (b" ", b"\t"):
+                ends = rows[i].split(b" ")
+                ends[column] = b"%d" % bad
+                broken = rows[:i] + [ends[0] + separator + ends[1] + b" " + ends[2]] + rows[i + 1 :]
+                text = b"msvc-graph 1\n4 4\n" + b"\n".join(broken) + b"\n"
+                expected = (GraphFormatError, f"line {i + 3}: vertex id out of range")
+                assert _outcome(lambda: read_records_text(text.decode(), _GRAPH_FORMAT)) == expected
+                path.write_bytes(text)
+                for block in (1, 8, graph_module._BLOCK_BYTES):
+                    with _spy_loadtxt() as loadtxt, mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+                        assert _outcome(lambda: read_graph(text)) == expected, (text, block)
+                        assert _outcome(lambda: load_graph(path)) == expected, (text, block)
+                    # a plain row of at most 18 digits is parsed without np.loadtxt
+                    plain = separator == b" " and 0 <= bad < 10**18
+                    assert (_GRAPH_FORMAT.columns in [call.args[1] for call in loadtxt.call_args_list]) != plain
+
+
+def test_a_vertex_count_of_2_to_the_31_is_rejected():
+    limit = 2**31
+    text = f"msvc-graph 1\n{limit - 1} 1\n0 {limit - 2} 1\n"
+    g = read_graph(text)
+    assert (g.n, g.edges) == (limit - 1, [(0, limit - 2, 1.0)])
+    with pytest.raises(GraphFormatError, match="^line 3: vertex id out of range$"):
+        read_graph(text.replace(f" {limit - 2} ", f" {limit - 1} "))
+    with pytest.raises(GraphFormatError, match=r"^vertex count must be below 2\^31, got 2147483648$"):
+        read_graph(f"msvc-graph 1\n{limit} 1\n0 {limit - 2} 1\n")
+    for make in (lambda: WeightedGraph(limit, []), lambda: WeightedGraph.from_arrays(limit, [], [], [])):
+        with pytest.raises(ValueError, match=r"^vertex count must be below 2\^31"):
+            make()
 
 
 # Rows np.loadtxt reads or rejects that are not plain, in place of the

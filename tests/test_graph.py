@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 import sys
 import threading
 
@@ -13,6 +14,8 @@ from minsumvc import (
     GraphFormatError,
     Ordering,
     WeightedGraph,
+    blow_up,
+    build_long_code_graph,
     complete_bipartite,
     complete_graph,
     cover_times,
@@ -21,12 +24,14 @@ from minsumvc import (
     inside_weight_table,
     load_graph,
     path_graph,
+    random_affine_instance,
     random_regular_graph,
     random_weighted_graph,
     read_graph,
     save_graph,
     star_graph,
     svc_value,
+    unweight,
     write_graph,
 )
 from minsumvc import graph as graph_module
@@ -145,6 +150,30 @@ def test_constructor_validation():
     ):
         with pytest.raises(ValueError):
             WeightedGraph.from_arrays(n, *np.asarray(edges).reshape(-1, 3).T)
+
+
+def test_edge_arrays_hold_int32_ids_however_the_graph_is_made(tmp_path):
+    g = build_long_code_graph(random_affine_instance(2, 2, 1, seed=0)[0], -0.5)
+    path = tmp_path / "g.graph"
+    save_graph(g, path)
+    graphs = [
+        g,
+        load_graph(path),
+        read_graph(write_graph(g)),
+        WeightedGraph(3, []),
+        TRIANGLE,
+        WeightedGraph.from_arrays(3, np.array([0, 1]), np.array([2, 0], np.uint8), [1.0, 2.0]),
+        blow_up(TRIANGLE, 2)[0],
+        unweight(WeightedGraph(2, [(0, 1, 0.5)]), 8, Fraction(1, 4), seed=11)[0],
+        random_regular_graph(8, 3, seed=0),
+    ]
+    for graph in graphs:
+        u, v, _ = graph.edge_arrays()
+        assert u.dtype == v.dtype == np.int32
+    # int32 ids are checked and kept as they come, not copied
+    u, v = np.array([0, 1], np.int32), np.array([2, 2], np.int32)
+    ids = WeightedGraph.from_arrays(3, u, v, [1.0, 1.0]).edge_arrays()[:2]
+    assert ids[0] is u and ids[1] is v
 
 
 def test_degree_accessors():

@@ -1,6 +1,7 @@
 """Blow-up, gadget sampling, and the full unweighting pipeline."""
 
 import json
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -360,6 +361,20 @@ def test_unweight_two_weights_and_determinism():
     assert rep1.degree_histogram == {3: 8, 5: 8, 8: 8}
     out3, _ = unweight(g, 8, Fraction(1, 4), seed=6)
     assert out1 != out3
+
+
+# 2^31 // 48 * 48 < 2^31 <= (2^31 // 48 + 1) * 48: the last two edges take an id times m past 2^31
+@pytest.mark.parametrize("n, ends", [
+    (2**31 // 48 + 1, (2**31 // 48, 0)),
+    (2**31 // 48 + 2, (2**31 // 48 + 1, 0)),
+    (2**31 // 48 + 2, (0, 2**31 // 48 + 1)),
+])
+def test_unweight_past_2_to_the_31_vertices_fails_the_vertex_count_check(n, ends):
+    """Ids times m are computed in 64 bits: they do not wrap into the int32 range, and warn nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^vertex count must be below 2\^31, got {n * 48}$"):
+            unweight(WeightedGraph(n, [(*ends, 0.5)]), 48, Fraction(1, 3), 0)
 
 
 def test_unweight_rejects_unrealizable_weight():
