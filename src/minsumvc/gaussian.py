@@ -164,8 +164,10 @@ def _copula_quad(rho, bx, by, n_nodes):
     # operations and the bits of one n_nodes x N slab, without its size.
     # Three buffers sized for the widest slab hold each slab's values in
     # turn, every operation writing in place.  Three arrays, not one of
-    # three rows: freeing a 3.9 MB block raises glibc's mmap threshold,
-    # and a later exact DP in the same process then peaked 9 MB higher.
+    # three rows: with one 3.9 MB block, the benchmark's hardness_solve pass
+    # in one process held 12 MB more after `hardness composite` and peaked
+    # at 108 MB against 98 MB, as freeing the block raises glibc's mmap
+    # threshold and the pool threads' heaps then keep the later blocks.
     stops = [*range(_BLOCK, bx.size - _BLOCK + 1, _BLOCK), bx.size]
     slabs = list(zip([0, *stops], stops))
     bufs = [np.empty(n_nodes * max(hi - lo for lo, hi in slabs)) for _ in range(3)]

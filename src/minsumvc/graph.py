@@ -109,15 +109,22 @@ def _edge_problem(n, u, v, w):
 
     The bounds of the columns are tested first (NaN fails them too), so
     that a valid graph builds no mask as long as the edge list but u == v.
+    If one fails, the reason masks are built a _CHUNK_ROWS chunk at a time:
+    the first chunk with a bad row holds the first bad row.
     """
     if (min(u.size, v.size, w.size) and 0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n
             and w.min() > 0.0 and np.isfinite(w.max()) and not (u == v).any()):
         return None
-    return _first_problem({
-        "vertex id out of range": (u < 0) | (u >= n) | (v < 0) | (v >= n),
-        "self-loop": u == v,
-        "weight must be positive and finite": ~(np.isfinite(w) & (w > 0.0)),
-    })
+    for lo in range(0, u.size, _CHUNK_ROWS):
+        cu, cv, cw = (a[lo : lo + _CHUNK_ROWS] for a in (u, v, w))
+        problem = _first_problem({
+            "vertex id out of range": (cu < 0) | (cu >= n) | (cv < 0) | (cv >= n),
+            "self-loop": cu == cv,
+            "weight must be positive and finite": ~(np.isfinite(cw) & (cw > 0.0)),
+        })
+        if problem is not None:
+            return lo + problem[0], problem[1]
+    return None
 
 
 def _vertex_count(n):

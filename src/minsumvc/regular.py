@@ -85,14 +85,25 @@ class RatioAnalysis:
 
 
 def optimize_two_phase(alpha=ALPHA_MAX2SAT_BISECTION, step=RATIO_GRID_STEP):
-    """Minimize the ratio over eps; the two branches meet at the optimum.
+    """Minimize the ratio over the eps grid step, 2 step, ... below 1/4.
 
-    The greedy branch falls in eps while the sup branch rises, so the
-    minimax sits where they cross; both are evaluated on one eps grid.
+    The greedy branch falls in eps while the sup branch rises up to delta*
+    and is flat after it, so the minimax sits where they cross: at
+    eps* = (1 - 4/(5 alpha))^2 if that is at most delta*, else where the
+    greedy branch meets the flat value S at delta*, eps* = (4/S - 3)/12.
+    Only the seven grid points around eps* are scored; the first minimum
+    among them is the first minimum of the whole grid.
     """
     if not 0.8 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0.8, 1], got {alpha}")
-    eps_grid = np.arange(step, 0.25, step)
+    crit = _interior_critical_delta(alpha)
+    eps = (1.0 - 4.0 / (5.0 * alpha)) ** 2
+    if eps > crit:
+        eps = (4.0 / float(_second_branch(crit, alpha)) - 3.0) / 12.0
+    # grid point i is step + i * step, as np.arange(step, 0.25, step) has it
+    count = math.ceil((0.25 - step) / step)
+    near = round(eps / step) - 1
+    eps_grid = step + np.arange(max(0, near - 3), min(near + 3, count - 1) + 1) * step
     sup = _sup_second_branch(eps_grid, alpha)
     greedy = 4.0 / (3.0 + 12.0 * eps_grid)
     ratios = np.maximum(greedy, sup)

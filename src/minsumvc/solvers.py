@@ -9,21 +9,23 @@ gives the cover-time sum of steps 1..|S| for the best schedule whose first
 |S| picks are exactly S; the optimum is f(V) plus the step-0 term W(V, V).
 The DP holds one 2^n array: f(S) overwrites W(S^c, S^c) in the
 inside-weight table, a slot only f(S) reads, once W(V, V) is saved.  The
-table is viewed as 2^(n - lo) x 2^lo in reversed row/column order, so that
-f(S) sits at row S >> lo, column S & (2^lo - 1): rows hold the high mask
-bits, columns the low lo = min(n, _LOW_BITS).  Rows are relaxed in layers
-of high-bit popcount, in tasks of DP_CHUNK >> lo rows on one thread per
-CPU.  A task takes the min over the high bits as whole rows of the layer
-below, only for the rows holding the bit (the layer above still holds W),
-then the low bits layer by layer inside its cache-sized block, where a bit
-not in S reads a still-inf column of the layer above.  The ordering is
-rebuilt from f: from V down, drop the lowest v minimizing f(S minus v).
-The min is exact, so every f(S) adds the same two operands as a per-mask
-scan, and the rebuild picks the v a strict-< scan keeps: value and
-ordering do not depend on lo, the task size or the CPU count.  Exact
-Max-k-VC scans the same table in the same layout.  A brute-force
-enumeration over all n! orderings serves as an independent oracle for
-n <= 8.
+table is viewed as 2^(n - lo) x 2^lo, so that f(S) sits at row S >> lo,
+column S & (2^lo - 1) of its reversed rows and columns: rows hold the
+high mask bits, columns the low lo = min(n, _LOW_BITS).  Rows are relaxed
+in layers of high-bit popcount.  Each layer is split into one part per
+CPU, and each part runs on its own thread in tasks of at most
+DP_CHUNK >> lo rows, one after another, in a scratch set of its own that
+the call allocates up front: a task allocates no array.  A task takes the
+min over the high bits of S as whole rows of the layer below, then over
+the low bits layer by layer inside its cache-sized block, transposed so
+that each gather takes whole rows.  The ordering is rebuilt from f: from
+V down, drop the lowest v minimizing f(S minus v).  The min is exact, so
+every f(S) adds the same two operands as a per-mask scan, and the
+rebuild picks the v a strict-< scan keeps: value and ordering do not
+depend on lo, the task size or the CPU count.  Exact Max-k-VC scans the
+same table in the same layout, DP_CHUNK >> lo rows at a time.  A
+brute-force enumeration over all n! orderings serves as an independent
+oracle for n <= 8.
 
 Approximate solvers: greedy by uncovered incident weight and a two-phase
 schedule built around an exact or local-search Max-k-VC subset at
@@ -38,6 +40,7 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
+from . import graph as graph_module
 from .graph import Ordering, WeightedGraph, _parallel_map, inside_weight_table, svc_value
 
 DP_MAX_VERTICES = 24
@@ -86,32 +89,32 @@ def _exact_dp_in_place(graph, table):
     full = (1 << n) - 1
     inside_all = table[full]  # W(V, V), in the slot of f(0)
     lo = min(n, _LOW_BITS)
-    # f(S) overwrites W(S^c, S^c) = table[S ^ full], which only f(S) reads
-    f = table.reshape(1 << (n - lo), 1 << lo)[::-1, ::-1]
-    col_layers = _popcount_layers(lo)
-
-    def relax(rows):
-        # high bits: whole rows of the layer below; rows without the bit
-        # would read the layer above, which still holds W
-        best = np.full((rows.size, f.shape[1]), np.inf)
-        for v in range(n - lo):
-            has = (rows >> v & 1).astype(bool)[:, None]
-            np.minimum(best, f[rows ^ (1 << v)], out=best, where=has)
-        out = np.full_like(best, np.inf)
-        comp_rows = f[rows]  # still W(S^c, S^c)
-        for j, cols in enumerate(col_layers):
-            cand = best[:, cols]
-            for v in range(lo):
-                # columns without bit v read layer j + 1, still inf
-                np.minimum(cand, out[:, cols ^ (1 << v)], out=cand)
-            out[:, cols] = comp_rows[:, cols] + cand
-            if j == 0 and rows[0] == 0:
-                out[0, 0] = 0.0
-        f[rows] = out
-
+    top, low = (1 << (n - lo)) - 1, (1 << lo) - 1
+    # f(S) overwrites W(S^c, S^c) = table[S ^ full], which only f(S) reads:
+    # row r, column c of t is the slot of S = (r ^ top) << lo | (c ^ low)
+    t = table.reshape(top + 1, low + 1)
+    # per popcount j of S's low bits: its columns, and for each low bit of
+    # S the columns of S minus that bit (popcount j - 1)
+    col_layers = []
+    for cols in reversed(_popcount_layers(lo)):
+        bits, minus = cols ^ low, []
+        while bits[0]:
+            minus.append(cols ^ (bits & -bits))
+            bits = bits & (bits - 1)
+        col_layers.append((cols, minus))
+    row_layers = _popcount_layers(n - lo)
     step = max(1, DP_CHUNK >> lo)
-    for rows in _popcount_layers(n - lo):
-        _parallel_map(relax, np.split(rows, range(step, rows.size, step)))
+    rows_max = max(map(len, row_layers))
+    cap, width = min(step, rows_max), max(cols.size for cols, _ in col_layers)
+    # one set per part of a layer, for the part's tasks in turn: cap rows,
+    # the same transposed, and three blocks of one low layer
+    scratch = [
+        (np.empty((cap, low + 1)), np.empty((low + 1) * cap), np.empty(3 * width * cap))
+        for _ in range(min(graph_module._workers(), rows_max))
+    ]
+    for rows in row_layers:
+        parts = np.array_split(rows ^ top, min(len(scratch), rows.size))
+        _parallel_map(_relax_part, [(t, col_layers, step, part, s) for part, s in zip(parts, scratch)])
 
     f = table[::-1]  # f[S], flat
     value = float(f[full] + inside_all)
@@ -122,6 +125,50 @@ def _exact_dp_in_place(graph, table):
         perm[pos] = min((v for v in range(n) if mask >> v & 1), key=lambda v: f[mask ^ (1 << v)])
         mask ^= 1 << perm[pos]
     return SolveResult(value, Ordering(tuple(perm)), "exact-dp")
+
+
+def _relax_part(job):
+    """Relax one part of a layer of _exact_dp_in_place's rows, a task at a time."""
+    t, col_layers, step, rows, scratch_set = job
+    for chunk in np.array_split(rows, -(-rows.size // step)):
+        _relax(t, col_layers, chunk, scratch_set)
+
+
+def _relax(t, col_layers, rows, scratch_set):
+    """Set f on the given rows of t, one layer of the high bits, in scratch_set."""
+    top, low = t.shape[0] - 1, t.shape[1] - 1
+    k = rows.size
+    rows_buf, cols_buf, blocks = scratch_set
+    best, f_t = rows_buf[:k], cols_buf[: (low + 1) * k].reshape(low + 1, k)
+    # high bits: the min over whole rows of the layer below, one row per
+    # high bit of S, gathered into the memory f_t takes up next
+    best.fill(np.inf)
+    below = f_t.reshape(k, low + 1)
+    bits = rows ^ top
+    for _ in range(np.bitwise_count(bits[0])):
+        np.take(t, rows ^ (bits & -bits), axis=0, out=below, mode="clip")
+        np.minimum(best, below, out=best)
+        bits = bits & (bits - 1)
+    # low bits: one popcount layer of columns at a time, on f's rows
+    # transposed, so that each gather takes whole rows of k values
+    np.copyto(f_t, best.T)
+    comp_rows = rows_buf[:k]
+    np.take(t, rows, axis=0, out=comp_rows, mode="clip")  # still W(S^c, S^c)
+    for j, (cols, minus) in enumerate(col_layers):
+        size = cols.size * k
+        cand, other = blocks[:size].reshape(-1, k), blocks[size : 2 * size].reshape(-1, k)
+        comp = blocks[2 * size : 3 * size].reshape(k, -1)
+        np.take(f_t, cols, axis=0, out=cand, mode="clip")
+        for prev in minus:
+            np.take(f_t, prev, axis=0, out=other, mode="clip")
+            np.minimum(cand, other, out=cand)
+        np.take(comp_rows, cols, axis=1, out=comp, mode="clip")
+        np.copyto(other, comp.T)
+        np.add(other, cand, out=cand)
+        f_t[cols] = cand
+        if j == 0 and rows[0] == top:
+            f_t[low, 0] = 0.0  # f(0)
+    t[rows] = f_t.T
 
 
 def _popcount_layers(bits):
@@ -241,21 +288,24 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
 def _max_kvc_table(table, n, k):
     """The least k-set S minimizing W(S^c, S^c) = total - covered(S).
 
-    One block per high-bit popcount c in the DP's layout (high layer c x low
-    layer k - c), each in ascending mask order: the least (W, mask) of the
-    blocks' first minima is the first minimum over all k-sets ascending.
+    Blocks in the DP's layout, of one high-bit popcount c and DP_CHUNK >> lo
+    rows (high layer c x low layer k - c), each in ascending mask order: the
+    least (W, mask) of the blocks' first minima is the first minimum over
+    all k-sets ascending.
     """
     lo = min(n, _LOW_BITS)
     comp = table.reshape(1 << (n - lo), 1 << lo)[::-1, ::-1]
     row_layers, col_layers = _popcount_layers(n - lo), _popcount_layers(lo)
+    step = max(1, DP_CHUNK >> lo)
     best = None
     for c in range(max(0, k - lo), min(k, n - lo) + 1):
-        rows, cols = row_layers[c], col_layers[k - c]
-        block = comp[np.ix_(rows, cols)]
-        i, j = divmod(int(np.argmin(block)), cols.size)
-        cand = (block[i, j], int(rows[i]) << lo | int(cols[j]))
-        if best is None or cand < best:
-            best = cand
+        cols = col_layers[k - c]
+        for rows in np.split(row_layers[c], range(step, row_layers[c].size, step)):
+            block = comp[np.ix_(rows, cols)]
+            i, j = divmod(int(np.argmin(block)), cols.size)
+            cand = (block[i, j], int(rows[i]) << lo | int(cols[j]))
+            if best is None or cand < best:
+                best = cand
     return tuple(b for b in range(n) if best[1] >> b & 1)
 
 

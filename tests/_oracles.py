@@ -191,6 +191,22 @@ def max_kvc_masks(graph, k):
     return tuple(b for b in range(n) if best >> b & 1)
 
 
+def optimize_two_phase_grid(alpha, step=1e-5):
+    """(optimal_eps, optimal_ratio, branch_gap) as the first minimum over the
+    whole grid np.arange(step, 0.25, step): 24,999 points at the default step."""
+    from minsumvc.regular import _sup_second_branch
+
+    eps_grid = np.arange(step, 0.25, step)
+    sup = _sup_second_branch(eps_grid, alpha)
+    greedy = 4.0 / (3.0 + 12.0 * eps_grid)
+    ratios = np.maximum(greedy, sup)
+    i = int(np.argmin(ratios))
+    gap = abs(float(greedy[i]) - float(sup[i]))
+    if gap > 1e-3:
+        raise AssertionError(f"branches fail to cross at the optimum (gap {gap})")
+    return float(eps_grid[i]), float(ratios[i]), gap
+
+
 def random_regular_graph_pairing(n, d, seed, max_tries=1000):
     """random_regular_graph by the pairing model alone, with no switch fallback."""
     rng = np.random.default_rng(seed)

@@ -359,15 +359,27 @@ def test_a_long_code_graph_holds_16_bytes_per_edge(tmp_path):
         start = tracemalloc.get_traced_memory()[0]
         loaded = load_graph(path)
         load_held, load_peak = (size - start for size in tracemalloc.get_traced_memory())
+        size = path.stat().st_size
+        # the same file with a self-loop for its last row fails without
+        # building its edge check's masks over the whole edge list
+        body, last = path.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+        u = last.split()[0]
+        path.write_bytes(body + b"\n" + u + b" " + u + b" 1\n")
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(GraphFormatError, match="self-loop"):
+            load_graph(path)
+        fail_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    arrays, size = 16 * loaded.m, path.stat().st_size
+    arrays = 16 * loaded.m
     assert [a.dtype for a in loaded.edge_arrays()] == [np.int32, np.int32, np.float64]
     assert build_held < 1.01 * arrays
     assert build_peak < 1.25 * arrays
     assert save_peak < 0.9 * size
     assert load_held < 0.6 * size
     assert load_peak < 0.75 * size
+    assert fail_peak < min(load_peak + 0.01 * size, 0.75 * size)
 
 
 def test_a_bad_last_row_of_a_long_code_graph_fails_in_file_sized_memory(tmp_path):

@@ -27,6 +27,8 @@ from minsumvc import (
 )
 from minsumvc import regular, solvers
 
+from _oracles import optimize_two_phase_grid
+
 
 def _second_branch(delta, alpha):
     return (8.0 - 5.0 * alpha + 5.0 * alpha * np.sqrt(delta)) / (3.0 + 12.0 * delta)
@@ -142,6 +144,33 @@ def test_optimize_closed_form_sup_equals_running_max_oracle():
             continue
         rep = optimize_two_phase(alpha)
         assert (rep.optimal_eps, rep.optimal_ratio, rep.branch_gap) == expected
+
+
+def _optimum_or_error(optimize, alpha, step):
+    try:
+        rep = optimize(alpha, step)
+    except AssertionError as err:
+        return str(err)
+    return rep if isinstance(rep, tuple) else (rep.optimal_eps, rep.optimal_ratio, rep.branch_gap)
+
+
+def test_closed_form_optimum_equals_the_whole_grid():
+    # 400 alphas in (0.8, 1] and the two paper values at the default step,
+    # then coarser and odd steps, where the seven points reach a grid end;
+    # a few alphas just above 0.8 miss the crossing and raise the same error
+    alphas = [round(0.8 + 0.0005 * i, 4) for i in range(1, 401)] + [0.9401, 0.9431]
+    raised = []
+    for alpha in alphas:
+        expected = _optimum_or_error(optimize_two_phase_grid, alpha, 1e-5)
+        assert _optimum_or_error(optimize_two_phase, alpha, 1e-5) == expected, alpha
+        if isinstance(expected, str):
+            raised.append(alpha)
+    assert raised == [0.8005, 0.801, 0.8015, 0.8035]
+    rng = np.random.default_rng(3)
+    for step in (2e-5, 3.7e-4, 1e-3, 0.01, 0.03, 0.1, 0.2):
+        for alpha in [*map(float, rng.uniform(0.8001, 1.0, 10)), 1.0]:
+            expected = _optimum_or_error(optimize_two_phase_grid, alpha, step)
+            assert _optimum_or_error(optimize_two_phase, alpha, step) == expected, (alpha, step)
 
 
 def test_critical_delta_is_the_branch_peak_below_a_quarter():
@@ -285,8 +314,7 @@ def test_counterexample_checks_build_one_table(monkeypatch):
 
 def test_counterexample_checks_hold_one_table(monkeypatch):
     # Max-k-VC and the cover number read the table, then the DP overwrites
-    # it: no copy.  The DP's row tasks add a working set per thread, so fix
-    # two threads.
+    # it: no copy.  The DP adds a scratch set per thread, so fix two threads.
     monkeypatch.setattr("minsumvc.graph._workers", lambda: 2)
     params = CounterexampleParams.from_fraction(1, 10, 2)
     graph = counterexample_graph(params)
@@ -298,7 +326,7 @@ def test_counterexample_checks_hold_one_table(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (8 << params.n) <= 1.6
+        assert peak / (8 << params.n) <= 1.4
 
 
 def test_coverage_bound_applicable_on_counterexample():

@@ -221,14 +221,68 @@ def _peak_over_table(fn, n):
 
 
 def test_exact_solvers_hold_one_table(monkeypatch):
-    # the DP's row tasks add a working set per thread, so fix two threads
+    # the DP adds a scratch set per thread, so fix two threads
     monkeypatch.setattr("minsumvc.graph._workers", lambda: 2)
     g = random_regular_graph(20, 3, 5)
     table = inside_weight_table(g)
     assert _peak_over_table(lambda: inside_weight_table(g), g.n) <= 1.1
-    assert _peak_over_table(lambda: msvc_exact_dp(g), g.n) <= 1.6
-    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact"), g.n) <= 1.25
-    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact", table=table), g.n) <= 0.25
+    assert _peak_over_table(lambda: msvc_exact_dp(g), g.n) <= 1.4
+    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact"), g.n) <= 1.1
+    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact", table=table), g.n) <= 0.1
+
+
+def _dp_peak_beyond_table(g, table):
+    tracemalloc.start()
+    try:
+        solvers._exact_dp_in_place(g, table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dp_tasks_allocate_nothing_beyond_the_scratch(monkeypatch, workers):
+    # per thread, one scratch set for its tasks in turn: at n = 20, two
+    # blocks of 64 rows of 2^10 floats and three of 64 x C(10, 5), 1.4 MB;
+    # tasks that allocated their own blocks held four of 512 KiB each
+    monkeypatch.setattr("minsumvc.graph._workers", lambda: workers)
+    g = random_regular_graph(20, 3, 5)
+    scratch = workers * 8 * 64 * (2 * 1024 + 3 * math.comb(10, 5))
+    assert _dp_peak_beyond_table(g, inside_weight_table(g)) <= scratch + (192 << 10)
+    # a 4-vertex graph sizes its scratch by its one task of one row
+    small = complete_graph(4)
+    assert _dp_peak_beyond_table(small, inside_weight_table(small)) < 64 << 10
+
+
+def test_dp_values_and_orderings_do_not_depend_on_the_workers(monkeypatch):
+    # parts of one row and of many, on more threads than CPUs
+    rng = np.random.default_rng(47)
+    graphs = [random_weighted_graph(int(rng.integers(2, 17)), 0.5, int(rng.integers(1 << 30))) for _ in range(8)]
+    graphs.append(random_regular_graph(16, 3, 1))
+    for g in graphs:
+        expected = _dp_reference(g) if g.n <= 12 else None
+        results = set()
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr("minsumvc.graph._workers", lambda workers=workers: workers)
+            res = msvc_exact_dp(g)
+            results.add((res.value, res.ordering.perm))
+        assert len(results) == 1, g.n
+        if expected is not None:
+            assert results == {expected}
+
+
+def test_max_kvc_table_row_chunks_break_ties_like_the_mask_scan(monkeypatch):
+    # blocks of one, two and three rows, so ties straddle chunk borders
+    for n in (9, 12):
+        g = random_weighted_graph(n, 0.5, n)
+        unit = WeightedGraph.from_arrays(n, *g.edge_arrays()[:2], np.ones(g.m))
+        for h in (unit, g):
+            table = inside_weight_table(h)
+            expected = [max_kvc_masks(h, k) for k in range(n + 1)]
+            monkeypatch.setattr(solvers, "_LOW_BITS", 4)
+            for rows in (1, 2, 3):
+                monkeypatch.setattr(solvers, "DP_CHUNK", rows << 4)
+                assert [max_kvc(h, k, mode="exact", table=table) for k in range(n + 1)] == expected, (n, rows)
 
 
 def test_max_kvc_blocks_match_the_per_subset_loop(monkeypatch):
