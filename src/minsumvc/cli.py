@@ -3,8 +3,9 @@
 Output conventions: results go to standard output as JSON (or CSV with
 --format csv); a one-line run manifest (subcommand, parameters, seed,
 version, sha256 of each input file, wall time, for unweight the gadget
-count per subset-check certificate, and for hardness composite and
-hardness optimize the thread pool size `workers`) goes to standard error.
+count per subset-check certificate, for hardness composite and hardness
+optimize the thread pool size `workers`, and for solve --method exact the
+2^n table's `dp_table` dtype and bytes) goes to standard error.
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import graph as graph_module
-from .graph import _workers, load_graph, save_graph, svc_value
+from .graph import _table_dtype, _workers, load_graph, save_graph, svc_value
 from .hardness import (
     composite_ratio,
     figure1_config,
@@ -130,15 +131,18 @@ def _cmd_gaussian_integral(args):
 
 def _cmd_solve(args):
     graph = load_graph(args.input)
+    extra = {}
     if args.method == "exact":
         res = msvc_exact_dp(graph)
+        dtype = _table_dtype(graph)
+        extra["dp_table"] = {"dtype": dtype.name, "bytes": dtype.itemsize << graph.n}
     elif args.method == "brute":
         res = msvc_bruteforce(graph)
     elif args.method == "greedy":
         res = msvc_greedy(graph)
     else:
         res = msvc_two_phase(graph, seed=args.seed)
-    return {"value": res.value, "ordering": list(res.ordering), "method": res.method}
+    return {"value": res.value, "ordering": list(res.ordering), "method": res.method}, extra
 
 
 def _cmd_hardness_single(args):

@@ -299,13 +299,17 @@ def inside_weight_table(graph):
 
     Size 2^n, and no other array of that order: each vertex's sums are
     built in the table's own still-zero slots.  Refuses for n above the
-    bitmask limit.
+    bitmask limit.  float32 when every weight is an integer and
+    (n + 1) W(V, V) <= 2^24, else float64: every entry and every sum of the
+    exact DP is then an integer of at most (n + 1) W(V, V), which float32
+    holds exactly, so each add and min gives the float64 bits.
     """
     n = graph.n
     if n > _TABLE_MAX_BITS:
         raise ValueError(f"bitmask table limited to n <= {_TABLE_MAX_BITS}")
-    a = graph.weight_matrix()
-    table = np.zeros(1 << n)
+    dtype = _table_dtype(graph)
+    a = graph.weight_matrix().astype(dtype)
+    table = np.zeros(1 << n, dtype)
     for v in range(n - 1, -1, -1):
         # the masks with lowest bit v, still zero; cross[i] = weight from v
         # into the set i << (v + 1), summed by doubling: the sets with top
@@ -316,6 +320,13 @@ def inside_weight_table(graph):
         # plus the weight inside the rest, from the masks with no bit at or below v
         np.add(table[:: 2 << v], cross, out=cross)
     return table
+
+
+def _table_dtype(graph):
+    """The dtype of inside_weight_table(graph): float32 where it is exact."""
+    w = graph.edge_arrays()[2]
+    exact = (graph.n + 1) * graph.total_weight() <= 1 << 24 and np.array_equal(w, np.floor(w))
+    return np.dtype(np.float32 if exact else np.float64)
 
 
 def _format_weight(w):

@@ -9,6 +9,10 @@ gives the cover-time sum of steps 1..|S| for the best schedule whose first
 |S| picks are exactly S; the optimum is f(V) plus the step-0 term W(V, V).
 The DP holds one 2^n array: f(S) overwrites W(S^c, S^c) in the
 inside-weight table, a slot only f(S) reads, once W(V, V) is saved.  The
+table, and the scratch in its dtype, is float32 when the weights are
+integers and (n + 1) W(V, V) <= 2^24: every W and f(S) is then an integer
+float32 holds exactly, so value, ordering and Max-k-VC subset are those
+of float64, in half the bytes.  The
 table is viewed as 2^(n - lo) x 2^lo, so that f(S) sits at row S >> lo,
 column S & (2^lo - 1) of its reversed rows and columns: rows hold the
 high mask bits, columns the low lo = min(n, _LOW_BITS).  Rows are relaxed
@@ -108,14 +112,14 @@ def _exact_dp_in_place(graph, table):
     width = max(cols.size for cols, _ in col_layers)
     # one set for every task in turn: cap rows, the same transposed, and
     # three blocks of one low layer
-    scratch = (np.empty((cap, low + 1)), np.empty((low + 1) * cap), np.empty(3 * width * cap))
+    scratch = tuple(np.empty(shape, table.dtype) for shape in ((cap, low + 1), (low + 1) * cap, 3 * width * cap))
     for rows in row_layers:
         rows = rows ^ top
         for start in range(0, rows.size, step):
             _relax(t, col_layers, rows[start : start + step], scratch)
 
     f = table[::-1]  # f[S], flat
-    value = float(f[full] + inside_all)
+    value = float(f[full]) + float(inside_all)
     perm = [0] * n
     mask = full
     for pos in range(n - 1, -1, -1):

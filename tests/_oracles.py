@@ -130,6 +130,21 @@ def min_subset_density(graph, k, mode="exhaustive", trials=10000, seed=0):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def inside_weight_table_loop(graph):
+    """The bit-test table build in float64, one pass per later vertex."""
+    n = graph.n
+    a = graph.weight_matrix()
+    table = np.zeros(1 << n)
+    for v in range(n - 1, -1, -1):
+        rest = np.arange(0, 1 << (n - v - 1), dtype=np.int64) << (v + 1)
+        cross = np.zeros(rest.size)
+        for u in range(v + 1, n):
+            if a[v, u] != 0.0:
+                cross += a[v, u] * ((rest >> u) & 1)
+        table[rest | (1 << v)] = table[rest] + cross
+    return table
+
+
 def msvc_exact_dp_layered(graph):
     """The subset DP by popcount layers of whole masks, with a parent array: (value, perm).
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minsumvc
@@ -18,6 +19,7 @@ from minsumvc import (
     figure1_config,
     load_graph,
     load_hardness_config,
+    msvc_exact_dp,
     random_affine_instance,
     random_weighted_graph,
     save_graph,
@@ -28,6 +30,8 @@ from minsumvc import (
 from minsumvc import graph as graph_module
 from minsumvc import hardness
 from minsumvc.cli import main
+
+from _oracles import inside_weight_table_loop
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +60,28 @@ def test_solve_exact_triangle(tmp_path, capsys):
     assert manifest["seed"] == 0
     assert manifest["wall_time_s"] >= 0.0
     assert "error" not in manifest
+
+
+def test_solve_exact_manifest_names_the_dp_table(tmp_path, capsys):
+    # float32 for integer weights, float64 for uniform ones; stdout is the
+    # float64 table's result either way
+    g = random_weighted_graph(12, 0.5, 3)
+    integer = WeightedGraph.from_arrays(12, *g.edge_arrays()[:2], np.arange(1, g.m + 1, dtype=float))
+    for graph, dtype in ((integer, "float32"), (g, "float64")):
+        path = tmp_path / f"{dtype}.graph"
+        save_graph(graph, path)
+        code, out, err = run_cli(capsys, "solve", "--method", "exact", "--input", str(path))
+        assert code == 0
+        ref = msvc_exact_dp(graph, table=inside_weight_table_loop(graph))
+        expected = {"value": ref.value, "ordering": list(ref.ordering), "method": "exact-dp"}
+        assert out == json.dumps(expected, indent=2) + "\n"
+        size = {"float32": 4, "float64": 8}[dtype] << 12
+        assert manifest_of(err)["dp_table"] == {"dtype": dtype, "bytes": size}
+    small = tmp_path / "k3.graph"
+    save_graph(complete_graph(3), small)
+    for method in ("brute", "greedy", "two-phase"):
+        _, _, err = run_cli(capsys, "solve", "--method", method, "--input", str(small))
+        assert "dp_table" not in manifest_of(err)
 
 
 def test_only_a_cli_run_records_input_digests(tmp_path, capsys):

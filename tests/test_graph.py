@@ -36,7 +36,14 @@ from minsumvc import (
 )
 from minsumvc import graph as graph_module
 
-from _oracles import aggregate_parallel, min_subset_density, random_regular_graph_pairing, relabel, svc_value_suffix
+from _oracles import (
+    aggregate_parallel,
+    inside_weight_table_loop,
+    min_subset_density,
+    random_regular_graph_pairing,
+    relabel,
+    svc_value_suffix,
+)
 
 TRIANGLE = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
@@ -216,29 +223,32 @@ def test_inside_weight_table_against_direct_sum():
             assert table[mask] == pytest.approx(direct, abs=1e-12)
 
 
-def _inside_weight_table_loop(graph):
-    """The bit-test table build, one pass per later vertex, kept as an oracle."""
-    n = graph.n
-    a = graph.weight_matrix()
-    table = np.zeros(1 << n)
-    for v in range(n - 1, -1, -1):
-        rest = np.arange(0, 1 << (n - v - 1), dtype=np.int64) << (v + 1)
-        cross = np.zeros(rest.size)
-        for u in range(v + 1, n):
-            if a[v, u] != 0.0:
-                cross += a[v, u] * ((rest >> u) & 1)
-        table[rest | (1 << v)] = table[rest] + cross
-    return table
-
-
 def test_inside_weight_table_doubling_matches_bit_test_loop():
-    # the same additions in the same order, so the bits agree exactly
+    # the same additions in the same order, so the bits agree exactly; the
+    # unit-weight graphs get float32 tables, whose integers widen to the
+    # float64 oracle's bits
     graphs = [random_weighted_graph(n, 0.5, n) for n in (2, 5, 12, 15, 18)]
     graphs += [random_regular_graph(n, 3, n) for n in (12, 16, 18)]
     graphs.append(WeightedGraph(4, [(0, 3, 0.1), (0, 3, 0.2), (1, 2, 1e-300)]))
-    for g in graphs:
+    dtypes = [np.float64] * 5 + [np.float32] * 3 + [np.float64]
+    for g, dtype in zip(graphs, dtypes, strict=True):
         table = inside_weight_table(g)
-        assert np.array_equal(table.view(np.uint64), _inside_weight_table_loop(g).view(np.uint64))
+        assert table.dtype == dtype, g
+        bits = table.astype(np.float64, copy=False).view(np.uint64)
+        assert np.array_equal(bits, inside_weight_table_loop(g).view(np.uint64))
+
+
+def test_inside_weight_table_is_float32_while_integer_sums_fit_in_24_bits():
+    # (n + 1) W(V, V) = 4 * 2^22 = 2^24 exactly, then one weight unit over
+    at_bound = WeightedGraph(3, [(0, 1, float((1 << 22) - 1)), (1, 2, 1.0)])
+    over = WeightedGraph(3, [(0, 1, float(1 << 22)), (1, 2, 1.0)])
+    half = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 1.0)])
+    wide = WeightedGraph(2, [(0, 1, float((1 << 24) + 1))])
+    for g, dtype in ((at_bound, np.float32), (over, np.float64), (half, np.float64), (wide, np.float64)):
+        table = inside_weight_table(g)
+        assert table.dtype == dtype, g
+        assert np.array_equal(table.astype(np.float64, copy=False), inside_weight_table_loop(g))
+    assert inside_weight_table(at_bound)[-1] == 1 << 22
 
 
 def test_parallel_map_runs_short_lists_without_a_pool(monkeypatch):

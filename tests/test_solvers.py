@@ -1,7 +1,6 @@
 """Exact DP against brute force, approximation bands, Max-k-VC."""
 
 import math
-import sys
 import threading
 import tracemalloc
 from itertools import combinations
@@ -35,7 +34,7 @@ from minsumvc import (
 from minsumvc import solvers
 from minsumvc.graph import inside_weight_table
 
-from _oracles import max_kvc_loop, max_kvc_masks, msvc_exact_dp_layered, msvc_random
+from _oracles import inside_weight_table_loop, max_kvc_loop, max_kvc_masks, msvc_exact_dp_layered, msvc_random
 
 
 def _random_dyadic_graph(rng):
@@ -131,24 +130,15 @@ def test_dp_matches_filtered_gather_reference():
         assert (res.value, res.ordering.perm) == _dp_reference(g)
 
 
-@pytest.mark.parametrize("workers", [None, 8])
-def test_dp_layer_chunks_match_reference_serial_or_oversubscribed(monkeypatch, workers):
+def test_dp_layer_chunks_of_seven_masks_match_reference(monkeypatch):
     # chunks of 7 masks split every layer but the ends into many tasks, run
-    # in order on the calling thread, also with a pool size of more threads
-    # than CPUs set and threads switching every microsecond
+    # in order on the calling thread
     monkeypatch.setattr(solvers, "DP_CHUNK", 7)
-    if workers is not None:
-        monkeypatch.setattr("minsumvc.graph._workers", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        rng = np.random.default_rng(43)
-        for trial in range(12):
-            g = random_weighted_graph(int(rng.integers(2, 13)), 0.5, int(rng.integers(1 << 30)))
-            res = msvc_exact_dp(g)
-            assert (res.value, res.ordering.perm) == _dp_reference(g)
-    finally:
-        sys.setswitchinterval(interval)
+    rng = np.random.default_rng(43)
+    for trial in range(12):
+        g = random_weighted_graph(int(rng.integers(2, 13)), 0.5, int(rng.integers(1 << 30)))
+        res = msvc_exact_dp(g)
+        assert (res.value, res.ordering.perm) == _dp_reference(g)
 
 
 def _tie_heavy_graphs():
@@ -222,12 +212,19 @@ def _peak_over_table(fn, n):
 
 
 def test_exact_solvers_hold_one_table():
-    g = random_regular_graph(20, 3, 5)
-    table = inside_weight_table(g)
-    assert _peak_over_table(lambda: inside_weight_table(g), g.n) <= 1.1
-    assert _peak_over_table(lambda: msvc_exact_dp(g), g.n) <= 1.25
-    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact"), g.n) <= 1.1
-    assert _peak_over_table(lambda: max_kvc(g, 10, mode="exact", table=table), g.n) <= 0.1
+    # in units of a float64 table: unit weights get a float32 table, half
+    # of one, and uniform weights a float64 one
+    bounds = {"table": 0.55, "dp": 0.65, "kvc": 0.6, "kvc given table": 0.1}
+    wide = {"table": 1.1, "dp": 1.25, "kvc": 1.1, "kvc given table": 0.1}
+    for g, bound in ((random_regular_graph(20, 3, 5), bounds), (random_weighted_graph(20, 0.3, 1), wide)):
+        table = inside_weight_table(g)
+        peaks = {
+            "table": _peak_over_table(lambda: inside_weight_table(g), g.n),
+            "dp": _peak_over_table(lambda: msvc_exact_dp(g), g.n),
+            "kvc": _peak_over_table(lambda: max_kvc(g, 10, mode="exact"), g.n),
+            "kvc given table": _peak_over_table(lambda: max_kvc(g, 10, mode="exact", table=table), g.n),
+        }
+        assert all(peaks[name] <= bound[name] for name in bound), (table.dtype, peaks)
 
 
 def _dp_peak_beyond_table(g, table):
@@ -239,16 +236,15 @@ def _dp_peak_beyond_table(g, table):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_dp_tasks_allocate_nothing_beyond_the_scratch(monkeypatch, workers):
-    # one scratch set for every task in turn, whatever the pool size: at
-    # n = 20, two blocks of 64 rows of 2^10 floats and three of
-    # 64 x C(10, 5), 1.4 MB; tasks that allocated their own blocks held
-    # four of 512 KiB each, and a set per thread held one set per CPU
-    monkeypatch.setattr("minsumvc.graph._workers", lambda: workers)
-    g = random_regular_graph(20, 3, 5)
-    scratch = 8 * 64 * (2 * 1024 + 3 * math.comb(10, 5))
-    assert _dp_peak_beyond_table(g, inside_weight_table(g)) <= scratch + (192 << 10)
+def test_dp_tasks_allocate_nothing_beyond_the_scratch():
+    # one scratch set for every task in turn: at n = 20, two blocks of 64
+    # rows of 2^10 entries and three of 64 x C(10, 5) in the table's dtype,
+    # 0.7 MB in float32 and 1.4 MB in float64; tasks that allocated their
+    # own blocks held four of 512 KiB each
+    for g in (random_regular_graph(20, 3, 5), random_weighted_graph(20, 0.3, 1)):
+        table = inside_weight_table(g)
+        scratch = table.itemsize * 64 * (2 * 1024 + 3 * math.comb(10, 5))
+        assert _dp_peak_beyond_table(g, table) <= scratch + (192 << 10), table.dtype
     # a 4-vertex graph sizes its scratch by its one task of one row
     small = complete_graph(4)
     assert _dp_peak_beyond_table(small, inside_weight_table(small)) < 64 << 10
@@ -270,21 +266,33 @@ def test_exact_dp_and_counterexample_check_start_no_thread(monkeypatch):
     assert verify_counterexample(params) == expected
 
 
-def test_dp_values_and_orderings_do_not_depend_on_the_workers(monkeypatch):
-    # parts of one row and of many, on more threads than CPUs
+def test_dp_matches_reference_on_random_graphs_up_to_16_vertices():
+    # row layers of one task and of many
     rng = np.random.default_rng(47)
     graphs = [random_weighted_graph(int(rng.integers(2, 17)), 0.5, int(rng.integers(1 << 30))) for _ in range(8)]
     graphs.append(random_regular_graph(16, 3, 1))
     for g in graphs:
-        expected = _dp_reference(g) if g.n <= 12 else None
-        results = set()
-        for workers in (1, 2, 3, 8):
-            monkeypatch.setattr("minsumvc.graph._workers", lambda workers=workers: workers)
-            res = msvc_exact_dp(g)
-            results.add((res.value, res.ordering.perm))
-        assert len(results) == 1, g.n
-        if expected is not None:
-            assert results == {expected}
+        expected = _dp_reference(g) if g.n <= 12 else msvc_exact_dp_layered(g)
+        res = msvc_exact_dp(g)
+        assert (res.value, res.ordering.perm) == expected, g.n
+
+
+def test_float32_tables_give_the_float64_results():
+    # integer weights, small (many ties) or with (n + 1) W(V, V) up to
+    # 2^24: value, ordering and Max-k-VC subsets equal those of a float64
+    # table from the bit-test loop
+    rng = np.random.default_rng(53)
+    for trial in range(40):
+        n = int(rng.integers(2, 17))
+        g = random_weighted_graph(n, 0.5, int(rng.integers(1 << 30)))
+        top = 3 if trial % 2 else (1 << 24) // ((n + 1) * g.m)
+        g = WeightedGraph.from_arrays(n, *g.edge_arrays()[:2], rng.integers(1, top + 1, g.m).astype(float))
+        assert inside_weight_table(g).dtype == np.float32
+        wide = inside_weight_table_loop(g)
+        res, ref = msvc_exact_dp(g), msvc_exact_dp(g, table=wide)
+        assert (res.value, res.ordering.perm) == (ref.value, ref.ordering.perm), (trial, n)
+        for k in range(1, n):
+            assert max_kvc(g, k, mode="exact") == max_kvc(g, k, mode="exact", table=wide), (trial, n, k)
 
 
 def test_max_kvc_table_row_chunks_break_ties_like_the_mask_scan(monkeypatch):
