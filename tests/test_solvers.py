@@ -1,6 +1,7 @@
 """Exact DP against brute force, approximation bands, Max-k-VC."""
 
 import math
+import sys
 import threading
 import tracemalloc
 from itertools import combinations
@@ -130,15 +131,24 @@ def test_dp_matches_filtered_gather_reference():
         assert (res.value, res.ordering.perm) == _dp_reference(g)
 
 
-def test_dp_layer_chunks_of_seven_masks_match_reference(monkeypatch):
+@pytest.mark.parametrize("workers", [None, 8])
+def test_dp_layer_chunks_match_reference_serial_or_oversubscribed(monkeypatch, workers):
     # chunks of 7 masks split every layer but the ends into many tasks, run
-    # in order on the calling thread
+    # in order on the calling thread, also with a pool size of more threads
+    # than CPUs set and threads switching every microsecond
     monkeypatch.setattr(solvers, "DP_CHUNK", 7)
-    rng = np.random.default_rng(43)
-    for trial in range(12):
-        g = random_weighted_graph(int(rng.integers(2, 13)), 0.5, int(rng.integers(1 << 30)))
-        res = msvc_exact_dp(g)
-        assert (res.value, res.ordering.perm) == _dp_reference(g)
+    if workers is not None:
+        monkeypatch.setattr("minsumvc.graph._workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rng = np.random.default_rng(43)
+        for trial in range(12):
+            g = random_weighted_graph(int(rng.integers(2, 13)), 0.5, int(rng.integers(1 << 30)))
+            res = msvc_exact_dp(g)
+            assert (res.value, res.ordering.perm) == _dp_reference(g)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _tie_heavy_graphs():
@@ -236,11 +246,14 @@ def _dp_peak_beyond_table(g, table):
         tracemalloc.stop()
 
 
-def test_dp_tasks_allocate_nothing_beyond_the_scratch():
-    # one scratch set for every task in turn: at n = 20, two blocks of 64
-    # rows of 2^10 entries and three of 64 x C(10, 5) in the table's dtype,
-    # 0.7 MB in float32 and 1.4 MB in float64; tasks that allocated their
-    # own blocks held four of 512 KiB each
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dp_tasks_allocate_nothing_beyond_the_scratch(monkeypatch, workers):
+    # one scratch set for every task in turn, whatever the pool size: at
+    # n = 20, two blocks of 64 rows of 2^10 entries and three of
+    # 64 x C(10, 5) in the table's dtype, 0.7 MB in float32 and 1.4 MB in
+    # float64; tasks that allocated their own blocks held four of 512 KiB
+    # each, and a set per thread held one set per CPU
+    monkeypatch.setattr("minsumvc.graph._workers", lambda: workers)
     for g in (random_regular_graph(20, 3, 5), random_weighted_graph(20, 0.3, 1)):
         table = inside_weight_table(g)
         scratch = table.itemsize * 64 * (2 * 1024 + 3 * math.comb(10, 5))
