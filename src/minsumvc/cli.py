@@ -4,8 +4,10 @@ Output conventions: results go to standard output as JSON (or CSV with
 --format csv); a one-line run manifest (subcommand, parameters, seed,
 version, sha256 of each input file, wall time, for unweight the gadget
 count per subset-check certificate, for hardness composite and hardness
-optimize the thread pool size `workers`, and for solve --method exact the
-2^n table's `dp_table` dtype and bytes) goes to standard error.
+optimize the thread pool size `workers`, and for solve --method exact, or
+two-phase where its exact Max-k-VC scans a table, the 2^n table's
+`dp_table` dtype (uint16, float32 or float64) and bytes) goes to
+standard error.
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
 
@@ -48,7 +50,7 @@ from .regular import (
     two_phase_ratio,
     verify_counterexample,
 )
-from .solvers import msvc_bruteforce, msvc_exact_dp, msvc_greedy, msvc_two_phase
+from .solvers import DP_MAX_VERTICES, msvc_bruteforce, msvc_exact_dp, msvc_greedy, msvc_two_phase
 from .unweighting import unweight
 
 GRAPH_FORMAT_HELP = """\
@@ -134,14 +136,17 @@ def _cmd_solve(args):
     extra = {}
     if args.method == "exact":
         res = msvc_exact_dp(graph)
-        dtype = _table_dtype(graph)
-        extra["dp_table"] = {"dtype": dtype.name, "bytes": dtype.itemsize << graph.n}
     elif args.method == "brute":
         res = msvc_bruteforce(graph)
     elif args.method == "greedy":
         res = msvc_greedy(graph)
     else:
         res = msvc_two_phase(graph, seed=args.seed)
+    # two-phase scans a table for Max-k-VC at 0 < k = n // 2 < n <= 24,
+    # where C(n, k) is within the exact budget
+    if args.method == "exact" or (args.method == "two-phase" and 2 <= graph.n <= DP_MAX_VERTICES):
+        dtype = _table_dtype(graph)
+        extra["dp_table"] = {"dtype": dtype.name, "bytes": dtype.itemsize << graph.n}
     return {"value": res.value, "ordering": list(res.ordering), "method": res.method}, extra
 
 

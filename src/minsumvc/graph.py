@@ -299,10 +299,10 @@ def inside_weight_table(graph):
 
     Size 2^n, and no other array of that order: each vertex's sums are
     built in the table's own still-zero slots.  Refuses for n above the
-    bitmask limit.  float32 when every weight is an integer and
-    (n + 1) W(V, V) <= 2^24, else float64: every entry and every sum of the
-    exact DP is then an integer of at most (n + 1) W(V, V), which float32
-    holds exactly, so each add and min gives the float64 bits.
+    bitmask limit.  In the dtype of _table_dtype(graph): with integer
+    weights every entry and every sum of the exact DP is an integer of at
+    most (n + 1) W(V, V), which uint16 or float32 holds exactly, so each
+    add and min gives the float64 result.
     """
     n = graph.n
     if n > _TABLE_MAX_BITS:
@@ -323,10 +323,17 @@ def inside_weight_table(graph):
 
 
 def _table_dtype(graph):
-    """The dtype of inside_weight_table(graph): float32 where it is exact."""
+    """The dtype of inside_weight_table(graph), the narrowest that is exact.
+
+    With integer weights, uint16 while (n + 1) W(V, V) < 2^15 (the DP's
+    sentinel 2^15 plus W(V, V) then fits too) and float32 while it is at
+    most 2^24; float64 otherwise.
+    """
     w = graph.edge_arrays()[2]
-    exact = (graph.n + 1) * graph.total_weight() <= 1 << 24 and np.array_equal(w, np.floor(w))
-    return np.dtype(np.float32 if exact else np.float64)
+    bound = (graph.n + 1) * graph.total_weight()
+    if bound > 1 << 24 or not np.array_equal(w, np.floor(w)):
+        return np.dtype(np.float64)
+    return np.dtype(np.uint16 if bound < 1 << 15 else np.float32)
 
 
 def _format_weight(w):

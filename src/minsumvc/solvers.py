@@ -9,13 +9,16 @@ gives the cover-time sum of steps 1..|S| for the best schedule whose first
 |S| picks are exactly S; the optimum is f(V) plus the step-0 term W(V, V).
 The DP holds one 2^n array: f(S) overwrites W(S^c, S^c) in the
 inside-weight table, a slot only f(S) reads, once W(V, V) is saved.  The
-table, and the scratch in its dtype, is float32 when the weights are
-integers and (n + 1) W(V, V) <= 2^24: every W and f(S) is then an integer
-float32 holds exactly, so value, ordering and Max-k-VC subset are those
-of float64, in half the bytes.  The
-table is viewed as 2^(n - lo) x 2^lo, so that f(S) sits at row S >> lo,
-column S & (2^lo - 1) of its reversed rows and columns: rows hold the
-high mask bits, columns the low lo = min(n, _LOW_BITS).  Rows are relaxed
+table, and the scratch in its dtype, is uint16 when the weights are
+integers and (n + 1) W(V, V) < 2^15, and float32 when that is at most
+2^24: every W and f(S) is then an integer the dtype holds exactly, so
+value, ordering and Max-k-VC subset are those of float64, in a quarter or
+half of the bytes.  The min starts from inf, or from 2^15 in uint16,
+above every f(S); only S = 0 adds W(V, V) to it, before f(0) = 0
+replaces the sum.  The table is viewed as 2^(n - lo) x 2^lo, so that
+f(S) sits at row S >> lo, column S & (2^lo - 1) of its reversed rows
+and columns: rows hold the high mask bits, columns the low
+lo = min(n, _LOW_BITS).  Rows are relaxed
 in layers of high-bit popcount, in order, on the calling thread, in
 tasks of at most DP_CHUNK >> lo rows, one after another, in one scratch
 set that the call allocates up front: a task allocates no array.  (A
@@ -45,7 +48,7 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph, inside_weight_table, svc_value
+from .graph import Ordering, WeightedGraph, _table_dtype, inside_weight_table, svc_value
 
 DP_MAX_VERTICES = 24
 BRUTE_MAX_VERTICES = 8
@@ -74,12 +77,26 @@ class SolveResult:
 def msvc_exact_dp(graph, *, table=None):
     """Exact MSVC over all 2^n subsets; n <= 24.
 
-    A given table = inside_weight_table(graph) is copied, never changed.
+    A given table = inside_weight_table(graph) is checked by _check_table,
+    then copied, never changed.
     """
     n = graph.n
     if n > DP_MAX_VERTICES:
         raise ValueError(f"exact DP limited to n <= {DP_MAX_VERTICES}, got {n}")
+    if table is not None:
+        _check_table(graph, table)
     return _exact_dp_in_place(graph, inside_weight_table(graph) if table is None else table.copy())
+
+
+def _check_table(graph, table):
+    """Refuse a table that is not 2^n long, or integer in another dtype than
+    inside_weight_table(graph), where a sum could wrap; float tables pass."""
+    dtype = _table_dtype(graph)
+    if table.shape != (1 << graph.n,) or (table.dtype.kind != "f" and table.dtype != dtype):
+        raise ValueError(
+            f"expected a table of 2^{graph.n} = {1 << graph.n} entries in {dtype.name} "
+            f"(or a float dtype), got shape {table.shape} in {table.dtype.name}"
+        )
 
 
 def _exact_dp_in_place(graph, table):
@@ -137,7 +154,7 @@ def _relax(t, col_layers, rows, scratch_set):
     best, f_t = rows_buf[:k], cols_buf[: (low + 1) * k].reshape(low + 1, k)
     # high bits: the min over whole rows of the layer below, one row per
     # high bit of S, gathered into the memory f_t takes up next
-    best.fill(np.inf)
+    best.fill(np.inf if best.dtype.kind == "f" else 1 << 15)
     below = f_t.reshape(k, low + 1)
     bits = rows ^ top
     for _ in range(np.bitwise_count(bits[0])):
@@ -210,9 +227,10 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
     """A k-subset maximizing covered edge weight.
 
     mode="exact" enumerates subsets (budget C(n,k) <= 10^7 enforced), by
-    table = inside_weight_table(graph) while n <= DP_MAX_VERTICES, and
-    returns a true maximizer; mode="local-search" runs steepest-swap hill
-    climbing from seeded random starts.  Returns a sorted vertex tuple.
+    table = inside_weight_table(graph) while n <= DP_MAX_VERTICES (a given
+    table is checked by _check_table), and returns a true maximizer;
+    mode="local-search" runs steepest-swap hill climbing from seeded random
+    starts.  Returns a sorted vertex tuple.
 
     On ties the two exact paths may differ.  Up to DP_MAX_VERTICES (24)
     vertices the table scan returns the least mask among the maximizers
@@ -228,6 +246,8 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
     n = graph.n
     if not 0 <= k <= n:
         raise ValueError("k out of range")
+    if table is not None:
+        _check_table(graph, table)
     if k == 0:
         return ()
     if k == n:

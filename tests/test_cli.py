@@ -63,11 +63,13 @@ def test_solve_exact_triangle(tmp_path, capsys):
 
 
 def test_solve_exact_manifest_names_the_dp_table(tmp_path, capsys):
-    # float32 for integer weights, float64 for uniform ones; stdout is the
-    # float64 table's result either way
+    # uint16 while integer sums stay below 2^15, float32 for larger integer
+    # weights, float64 for uniform ones; stdout is the float64 table's
+    # result either way
     g = random_weighted_graph(12, 0.5, 3)
-    integer = WeightedGraph.from_arrays(12, *g.edge_arrays()[:2], np.arange(1, g.m + 1, dtype=float))
-    for graph, dtype in ((integer, "float32"), (g, "float64")):
+    small = WeightedGraph.from_arrays(12, *g.edge_arrays()[:2], np.arange(1, g.m + 1, dtype=float))
+    large = WeightedGraph.from_arrays(12, *g.edge_arrays()[:2], 100 * small.edge_arrays()[2])
+    for graph, dtype in ((small, "uint16"), (large, "float32"), (g, "float64")):
         path = tmp_path / f"{dtype}.graph"
         save_graph(graph, path)
         code, out, err = run_cli(capsys, "solve", "--method", "exact", "--input", str(path))
@@ -75,13 +77,43 @@ def test_solve_exact_manifest_names_the_dp_table(tmp_path, capsys):
         ref = msvc_exact_dp(graph, table=inside_weight_table_loop(graph))
         expected = {"value": ref.value, "ordering": list(ref.ordering), "method": "exact-dp"}
         assert out == json.dumps(expected, indent=2) + "\n"
-        size = {"float32": 4, "float64": 8}[dtype] << 12
+        size = np.dtype(dtype).itemsize << 12
         assert manifest_of(err)["dp_table"] == {"dtype": dtype, "bytes": size}
     small = tmp_path / "k3.graph"
     save_graph(complete_graph(3), small)
-    for method in ("brute", "greedy", "two-phase"):
+    for method in ("brute", "greedy"):
         _, _, err = run_cli(capsys, "solve", "--method", method, "--input", str(small))
         assert "dp_table" not in manifest_of(err)
+
+
+def test_solve_two_phase_manifest_names_the_dp_table(tmp_path, capsys, monkeypatch):
+    # its exact Max-k-VC scans a table for 2 <= n <= 24: the manifest names
+    # it, and stdout, JSON and CSV, is what float64 tables print
+    g = random_weighted_graph(14, 0.4, 5)
+    cases = [
+        (complete_graph(3), "uint16"),
+        (WeightedGraph.from_arrays(14, *g.edge_arrays()[:2], np.arange(1, g.m + 1, dtype=float)), "uint16"),
+        (WeightedGraph.from_arrays(14, *g.edge_arrays()[:2], 1000 * np.arange(1, g.m + 1, dtype=float)), "float32"),
+        (g, "float64"),
+    ]
+    outs = []
+    for i, (graph, dtype) in enumerate(cases):
+        path = tmp_path / f"{i}.graph"
+        save_graph(graph, path)
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, "solve", "--method", "two-phase", "--input", str(path), "--format", fmt)
+            assert code == 0
+            assert manifest_of(err)["dp_table"] == {"dtype": dtype, "bytes": np.dtype(dtype).itemsize << graph.n}
+            outs.append((path, fmt, out))
+    monkeypatch.setattr(graph_module, "_table_dtype", lambda graph: np.dtype(np.float64))
+    for path, fmt, out in outs:
+        assert run_cli(capsys, "solve", "--method", "two-phase", "--input", str(path), "--format", fmt)[1] == out
+    # no table for one vertex (k = 0), nor beyond 24 vertices (local search)
+    for graph in (WeightedGraph(1, []), random_weighted_graph(26, 0.2, 1)):
+        path = tmp_path / f"{graph.n}.graph"
+        save_graph(graph, path)
+        code, _, err = run_cli(capsys, "solve", "--method", "two-phase", "--input", str(path))
+        assert code == 0 and "dp_table" not in manifest_of(err)
 
 
 def test_only_a_cli_run_records_input_digests(tmp_path, capsys):

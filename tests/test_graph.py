@@ -225,12 +225,13 @@ def test_inside_weight_table_against_direct_sum():
 
 def test_inside_weight_table_doubling_matches_bit_test_loop():
     # the same additions in the same order, so the bits agree exactly; the
-    # unit-weight graphs get float32 tables, whose integers widen to the
-    # float64 oracle's bits
+    # unit-weight graphs get uint16 tables, and the weights times 1000
+    # float32 ones, whose integers widen to the float64 oracle's bits
     graphs = [random_weighted_graph(n, 0.5, n) for n in (2, 5, 12, 15, 18)]
     graphs += [random_regular_graph(n, 3, n) for n in (12, 16, 18)]
+    graphs += [WeightedGraph.from_arrays(g.n, *g.edge_arrays()[:2], 1000 * g.edge_arrays()[2]) for g in graphs[5:8]]
     graphs.append(WeightedGraph(4, [(0, 3, 0.1), (0, 3, 0.2), (1, 2, 1e-300)]))
-    dtypes = [np.float64] * 5 + [np.float32] * 3 + [np.float64]
+    dtypes = [np.float64] * 5 + [np.uint16] * 3 + [np.float32] * 3 + [np.float64]
     for g, dtype in zip(graphs, dtypes, strict=True):
         table = inside_weight_table(g)
         assert table.dtype == dtype, g
@@ -239,16 +240,23 @@ def test_inside_weight_table_doubling_matches_bit_test_loop():
 
 
 def test_inside_weight_table_is_float32_while_integer_sums_fit_in_24_bits():
-    # (n + 1) W(V, V) = 4 * 2^22 = 2^24 exactly, then one weight unit over
+    # (n + 1) W(V, V) = 4 * 2^22 = 2^24 exactly, then one weight unit over;
+    # below that, uint16 while (n + 1) W(V, V) < 2^15: 7 * 4681 = 2^15 - 1,
+    # then 8 * 4096 = 2^15
     at_bound = WeightedGraph(3, [(0, 1, float((1 << 22) - 1)), (1, 2, 1.0)])
     over = WeightedGraph(3, [(0, 1, float(1 << 22)), (1, 2, 1.0)])
     half = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 1.0)])
     wide = WeightedGraph(2, [(0, 1, float((1 << 24) + 1))])
-    for g, dtype in ((at_bound, np.float32), (over, np.float64), (half, np.float64), (wide, np.float64)):
+    at_16 = WeightedGraph(6, [(0, 1, 4680.0), (1, 5, 1.0)])
+    over_16 = WeightedGraph(7, [(0, 1, 4095.0), (1, 6, 1.0)])
+    cases = [(at_bound, np.float32), (over, np.float64), (half, np.float64), (wide, np.float64)]
+    cases += [(at_16, np.uint16), (over_16, np.float32)]
+    for g, dtype in cases:
         table = inside_weight_table(g)
         assert table.dtype == dtype, g
         assert np.array_equal(table.astype(np.float64, copy=False), inside_weight_table_loop(g))
     assert inside_weight_table(at_bound)[-1] == 1 << 22
+    assert inside_weight_table(at_16)[-1] == 4681 and inside_weight_table(over_16)[-1] == 4096
 
 
 def test_parallel_map_runs_short_lists_without_a_pool(monkeypatch):

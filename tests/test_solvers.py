@@ -222,9 +222,10 @@ def _peak_over_table(fn, n):
 
 
 def test_exact_solvers_hold_one_table():
-    # in units of a float64 table: unit weights get a float32 table, half
-    # of one, and uniform weights a float64 one
-    bounds = {"table": 0.55, "dp": 0.65, "kvc": 0.6, "kvc given table": 0.1}
+    # in units of a float64 table: unit weights get a uint16 table, a
+    # quarter of one (0.25, 0.30 and 0.28 measured; 0.50, 0.60 and 0.53
+    # with a float32 table), and uniform weights a float64 one
+    bounds = {"table": 0.28, "dp": 0.33, "kvc": 0.3, "kvc given table": 0.1}
     wide = {"table": 1.1, "dp": 1.25, "kvc": 1.1, "kvc given table": 0.1}
     for g, bound in ((random_regular_graph(20, 3, 5), bounds), (random_weighted_graph(20, 0.3, 1), wide)):
         table = inside_weight_table(g)
@@ -290,22 +291,68 @@ def test_dp_matches_reference_on_random_graphs_up_to_16_vertices():
         assert (res.value, res.ordering.perm) == expected, g.n
 
 
+def _assert_float64_results(g, dtype, label):
+    """Value, ordering and every Max-k-VC subset from g's own table, of
+    dtype, equal those from the float64 table of the bit-test loop."""
+    assert inside_weight_table(g).dtype == dtype, label
+    wide = inside_weight_table_loop(g)
+    res, ref = msvc_exact_dp(g), msvc_exact_dp(g, table=wide)
+    assert (res.value, res.ordering.perm) == (ref.value, ref.ordering.perm), label
+    for k in range(1, g.n):
+        assert max_kvc(g, k, mode="exact") == max_kvc(g, k, mode="exact", table=wide), (label, k)
+
+
 def test_float32_tables_give_the_float64_results():
-    # integer weights, small (many ties) or with (n + 1) W(V, V) up to
-    # 2^24: value, ordering and Max-k-VC subsets equal those of a float64
-    # table from the bit-test loop
+    # integer weights with 2^15 <= (n + 1) W(V, V) <= 2^24: a narrow range
+    # just above 2^15 / ((n + 1) m) (many ties), or up to 2^24
     rng = np.random.default_rng(53)
     for trial in range(40):
         n = int(rng.integers(2, 17))
         g = random_weighted_graph(n, 0.5, int(rng.integers(1 << 30)))
-        top = 3 if trial % 2 else (1 << 24) // ((n + 1) * g.m)
+        low = -(-(1 << 15) // ((n + 1) * g.m))
+        top = low + 2 if trial % 2 else (1 << 24) // ((n + 1) * g.m)
+        g = WeightedGraph.from_arrays(n, *g.edge_arrays()[:2], rng.integers(low, top + 1, g.m).astype(float))
+        _assert_float64_results(g, np.float32, (trial, n))
+
+
+def test_uint16_tables_give_the_float64_results():
+    # integer weights with (n + 1) W(V, V) < 2^15: 1 to 3 (many ties), up
+    # to the bound, and K6 at 7 W(V, V) = 2^15 - 1, whose near-equal weights
+    # take f(S) past 6000, so that a lower sentinel would give other values
+    rng = np.random.default_rng(59)
+    for trial in range(40):
+        n = int(rng.integers(2, 17))
+        g = random_weighted_graph(n, 0.5, int(rng.integers(1 << 30)))
+        top = 3 if trial % 2 else ((1 << 15) - 1) // ((n + 1) * g.m)
         g = WeightedGraph.from_arrays(n, *g.edge_arrays()[:2], rng.integers(1, top + 1, g.m).astype(float))
-        assert inside_weight_table(g).dtype == np.float32
-        wide = inside_weight_table_loop(g)
-        res, ref = msvc_exact_dp(g), msvc_exact_dp(g, table=wide)
-        assert (res.value, res.ordering.perm) == (ref.value, ref.ordering.perm), (trial, n)
-        for k in range(1, n):
-            assert max_kvc(g, k, mode="exact") == max_kvc(g, k, mode="exact", table=wide), (trial, n, k)
+        _assert_float64_results(g, np.uint16, (trial, n))
+    w = np.full(15, 312.0)
+    w[0] += 1.0
+    g = WeightedGraph.from_arrays(6, *complete_graph(6).edge_arrays()[:2], w)
+    assert (g.n + 1) * g.total_weight() == (1 << 15) - 1
+    _assert_float64_results(g, np.uint16, "at the bound")
+
+
+def test_given_tables_are_checked_at_the_boundary():
+    # a short table, or an integer one in another dtype than the graph's
+    # own, which could wrap; float tables of the right size pass
+    g = random_regular_graph(10, 3, 1)
+    own = inside_weight_table(g)
+    assert own.dtype == np.uint16
+    bad = [own[:-1], np.zeros(1 << 11, own.dtype), own.reshape(32, 32), own.astype(np.int64), own.astype(np.uint32)]
+    for table in bad:
+        with pytest.raises(ValueError, match=r"2\^10 = 1024 entries in uint16"):
+            msvc_exact_dp(g, table=table)
+        with pytest.raises(ValueError, match=r"2\^10 = 1024 entries in uint16"):
+            max_kvc(g, 5, mode="exact", table=table)
+    wide = random_weighted_graph(8, 0.5, 1)
+    with pytest.raises(ValueError, match=r"2\^8 = 256 entries in float64"):
+        max_kvc(wide, 4, mode="exact", table=inside_weight_table(wide).astype(np.uint16))
+    ref = msvc_exact_dp(g)
+    for table in (own, own.astype(np.float32), own.astype(np.float64), inside_weight_table_loop(g)):
+        res = msvc_exact_dp(g, table=table)
+        assert (res.value, res.ordering.perm) == (ref.value, ref.ordering.perm), table.dtype
+        assert max_kvc(g, 5, mode="exact", table=table) == max_kvc(g, 5, mode="exact")
 
 
 def test_max_kvc_table_row_chunks_break_ties_like_the_mask_scan(monkeypatch):
