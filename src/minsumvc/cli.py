@@ -4,16 +4,18 @@ Output conventions: results go to standard output as JSON (or CSV with
 --format csv); a one-line run manifest (subcommand, parameters, seed,
 version, sha256 of each input file, wall time, for unweight the gadget
 count per subset-check certificate, for hardness composite and hardness
-optimize the thread pool size `workers`, and for solve --method exact, or
-two-phase where its exact Max-k-VC scans a table, the 2^n table's
-`dp_table` dtype (uint16, float32 or float64) and bytes) goes to
-standard error.
+optimize the thread pool size `workers`, the profile pairs `built` and
+taken `from_memo`, and the module `ndtr` came from, and for solve
+--method exact, or two-phase where its exact Max-k-VC scans a table, the
+2^n table's `dp_table` dtype (uint16, float32 or float64) and bytes)
+goes to standard error.
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import graph as graph_module
+from . import hardness as hardness_module
 from .graph import _table_dtype, _workers, load_graph, save_graph, svc_value
 from .hardness import (
     composite_ratio,
@@ -34,7 +37,7 @@ from .hardness import (
     save_hardness_config,
     single_ratio,
 )
-from .gaussian import copula_diag_integral, gaussian_copula
+from .gaussian import _ndtr_module, copula_diag_integral, gaussian_copula
 from .reduction import (
     build_long_code_graph,
     completeness_ordering,
@@ -159,8 +162,24 @@ def _config(args):
     return load_hardness_config(args.config) if args.config else figure1_config()
 
 
+def _memo_counts():
+    """Profile pairs in composite_ratio's memo, and keys it has served."""
+    return len(hardness_module._profile_memo), hardness_module._profile_hits
+
+
+def _copula_entries(before):
+    """Manifest entries of a hardness command, given _memo_counts() before it."""
+    built, from_memo = (after - b for after, b in zip(_memo_counts(), before))
+    return {
+        "workers": _workers(),
+        "profiles": {"built": built, "from_memo": from_memo},
+        "ndtr": _ndtr_module().__name__,
+    }
+
+
 def _cmd_hardness_composite(args):
     cfg = _config(args)
+    before = _memo_counts()
     rep = composite_ratio(cfg, steps=args.steps)
     payload = {
         "k": cfg.k,
@@ -169,10 +188,11 @@ def _cmd_hardness_composite(args):
         "soundness_value": rep.soundness_value,
         "ratio": round(rep.ratio, 6),
     }
-    return payload, {"workers": _workers()}
+    return payload, _copula_entries(before)
 
 
 def _cmd_hardness_optimize(args):
+    before = _memo_counts()
     res = optimize_config(_config(args), budget=args.budget, steps=args.steps)
     if args.out:
         save_hardness_config(res.config, args.out)
@@ -183,7 +203,7 @@ def _cmd_hardness_optimize(args):
         "ratio": round(res.ratio, 6),
         "pairs": [[a, r] for a, r in res.config.pairs],
     }
-    return payload, {"workers": _workers()}
+    return payload, _copula_entries(before)
 
 
 def _cmd_reduce_build(args):
@@ -302,7 +322,9 @@ def _cmd_regular_counterexample(args):
     return payload
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (main parses every call with it)."""
     parser = argparse.ArgumentParser(
         prog="minsumvc",
         description="Minimum sum vertex cover: solvers, hardness ratios, reductions.",

@@ -23,15 +23,20 @@ The diagonal slice C_rho(r, r), its derivative in r, and its integral over
 r in [0, 1] are what the hardness bounds consume.  The derivative has the
 conditional-CDF closed form 2 * Phi(sqrt((1-rho)/(1+rho)) * Phi^-1(r)).
 
-scipy's ndtr is imported inside the four routines that call it, so that
-importing this module (and the package, and its CLI) does not load scipy:
-that import is about half of the CLI's start-up time and memory.
+scipy's ndtr is loaded on the first call that needs it, so that importing
+this module (and the package, and its CLI) does not load scipy.  It is
+taken from the one compiled module that defines it, not from
+scipy.special, whose package import costs about 155 ms and 20 MB (see
+_ndtr).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -43,6 +48,53 @@ Z_CUT = 8.0
 
 _BLOCK = 512  # quadrature columns per slab in _copula_quad
 _GRID_NODES = 160  # Gauss-Legendre nodes per window in copula_diag_grid
+
+# The compiled module that defines scipy.special.ndtr.
+_NDTR_EXTENSION = "scipy.special._special_ufuncs"
+_ndtr_lock = threading.Lock()
+
+
+def _ndtr():
+    """scipy.special.ndtr, the same ufunc object, without importing scipy.special.
+
+    `from scipy.special import ndtr` runs all of scipy/special/__init__:
+    scipy's array-API layer, numpy.ma, numpy.testing, numpy.f2py and some
+    60 scipy modules, about 155 ms and 20 MB.  So does
+    `import scipy.special._special_ufuncs`, since importing a submodule
+    imports its package first.  The first call instead imports the scipy
+    package (about 8 ms) and loads _NDTR_EXTENSION from its file.  Where
+    scipy.special is loaded already, or that file or its ndtr is missing
+    (other scipy versions), it takes ndtr from scipy.special.  The lock
+    makes concurrent first calls, as from composite_ratio's pool threads,
+    load the module once.
+    """
+    with _ndtr_lock:
+        return _ndtr_module().ndtr
+
+
+@functools.cache
+def _ndtr_module():
+    """The module _ndtr takes ndtr from: _NDTR_EXTENSION, or scipy.special."""
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    stem = os.path.join(os.path.dirname(scipy.__file__), *_NDTR_EXTENSION.split(".")[1:])
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.exists, paths), None)
+    if path is not None and "scipy.special" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(_NDTR_EXTENSION, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # so that a later `import scipy.special` loads the module as its
+        # own and sets it as an attribute; the ufuncs are the same objects
+        sys.modules.pop(_NDTR_EXTENSION, None)
+        if hasattr(module, "ndtr"):
+            return module
+    import scipy.special
+
+    return scipy.special
 
 
 @functools.cache
@@ -106,7 +158,7 @@ def phi_inv(p):
 
 def phi_inv_vec(p):
     """Vectorized phi_inv; same rational-guess plus Newton construction."""
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
@@ -138,7 +190,7 @@ def _copula_quad(rho, bx, by, n_nodes):
     Gauss-Legendre nodes).  An empty window (bx <= -Z_CUT, or no transition
     inside [-Z_CUT, bx]) has half-width 0 and adds exactly 0.0.
     """
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     s = math.sqrt(1.0 - rho * rho)
     a0 = -Z_CUT
@@ -194,7 +246,7 @@ def gaussian_copula(rho, x, y):
     Quadrature path targets 1e-10 absolute via node doubling; exact closed
     forms at rho in {-1, 0-ish, 1} and at the boundary arguments.
     """
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
@@ -235,7 +287,7 @@ def copula_diag_grid(rho, r):
     The scalar path's quadrature core, with _GRID_NODES fixed nodes on each
     transition window.  Agreement with the scalar route is pinned by tests.
     """
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")

@@ -283,6 +283,7 @@ def _greedy_schedule(alphas, profiles, per_graph):
 # no entry ever dropped, concurrent calls need no lock: at worst both build
 # a key and store pairs of equal bits.
 _profile_memo = {}
+_profile_hits = 0  # distinct keys composite_ratio calls found in it, for the CLI manifest
 
 
 def _build_pair(key):
@@ -302,11 +303,14 @@ def composite_ratio(cfg, steps, gamma=0.0, eps=0.0, g=12):
     """
     if steps < 1000:
         raise ValueError("steps must be at least 1000")
+    global _profile_hits
     per_graph = max(1, round(steps / cfg.k))
     alphas = cfg.alphas
 
     keys = [(rho, gamma, eps, g) for _, rho in cfg.pairs]
-    missing = [key for key in dict.fromkeys(keys) if key not in _profile_memo]
+    distinct = dict.fromkeys(keys)
+    missing = [key for key in distinct if key not in _profile_memo]
+    _profile_hits += len(distinct) - len(missing)
     _profile_memo.update(zip(missing, _parallel_map(_build_pair, missing)))
     c_profiles, s_profiles = zip(*(_profile_memo[key] for key in keys))
 

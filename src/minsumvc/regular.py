@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Ordering, WeightedGraph, inside_weight_table, svc_value
-from .solvers import DP_MAX_VERTICES, _exact_dp_in_place, covered_weight, max_kvc
+from .solvers import DP_CHUNK, DP_MAX_VERTICES, _exact_dp_in_place, covered_weight, max_kvc
 
 # best published guarantee for Max-2-Sat subject to a bisection constraint
 ALPHA_MAX2SAT_BISECTION = 0.9401
@@ -203,8 +203,13 @@ def staged_value_formula(params):
 
 
 def _vertex_cover_number(graph, table):
-    covering = np.nonzero(table == 0.0)[0]
-    return int(graph.n - np.bitwise_count(covering).max())
+    """n minus the most vertices of a set with no inside weight, read from
+    the table DP_CHUNK entries at a time (no 2^n temporary)."""
+    most = 0
+    for lo in range(0, table.size, DP_CHUNK):
+        empty = np.flatnonzero(table[lo : lo + DP_CHUNK] == 0) + lo
+        most = max(most, int(np.bitwise_count(empty).max(initial=0)))
+    return graph.n - most
 
 
 @dataclass(frozen=True)

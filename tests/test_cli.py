@@ -27,8 +27,8 @@ from minsumvc import (
     save_labels,
     save_ug,
 )
+from minsumvc import cli, gaussian, hardness
 from minsumvc import graph as graph_module
-from minsumvc import hardness
 from minsumvc.cli import main
 
 from _oracles import inside_weight_table_loop
@@ -530,24 +530,75 @@ def _reduction_and_unweight_runs(tmp_path):
     ]
 
 
-def test_only_the_copula_commands_load_scipy(tmp_path):
+def _scipy_probe_runs(tmp_path):
+    """Every kind of command, ending with the first one that needs scipy."""
     small = tmp_path / "g.graph"
     save_graph(random_weighted_graph(8, 0.5, 3), small)
-    runs = _reduction_and_unweight_runs(tmp_path) + [
+    return _reduction_and_unweight_runs(tmp_path) + [
         ["solve", "--method", "exact", "--input", str(small)],
         ["hardness", "single", "--rho", "-0.52"],
         ["regular", "counterexample", "--p", "1", "--q", "10", "--verify"],
         ["regular", "ratio"],
         ["hardness", "composite", "--steps", "2000"],
     ]
-    seen = _probe_module("scipy", runs)
+
+
+def test_only_the_copula_commands_load_scipy(tmp_path):
+    seen = _probe_module("scipy", _scipy_probe_runs(tmp_path))
     assert [step[1] for step in seen] == [0] * len(seen)
     assert [step[2] for step in seen] == [False] * (len(seen) - 1) + [True], seen
 
 
+def test_no_command_loads_scipy_special(tmp_path):
+    # ndtr comes from its own compiled module; scipy.special's package
+    # import (numpy.ma, numpy.testing, numpy.f2py, ...) is never run
+    runs = _scipy_probe_runs(tmp_path) + [
+        ["hardness", "optimize", "--budget", "2", "--steps", "2000"],
+        ["gaussian", "gamma", "--rho", "-0.52", "--x", "0.3", "--y", "0.6"],
+        ["gaussian", "integral", "--rho", "-0.52"],
+    ]
+    seen = _probe_module("scipy.special", runs)
+    assert seen == [["import", 0, False]] + [[" ".join(argv[:2]), 0, False] for argv in runs]
+
+
 def test_reduction_and_unweight_do_not_load_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call; the writer, verify_reduction
-    # and unweight take distinct values without it
-    runs = _reduction_and_unweight_runs(tmp_path)
+    # and unweight take distinct values without it.  hardness composite loads
+    # scipy, but not scipy.special, which would import numpy.ma
+    runs = _reduction_and_unweight_runs(tmp_path) + [["hardness", "composite", "--steps", "2000"]]
     seen = _probe_module("numpy.ma", runs)
     assert seen == [["import", 0, False]] + [[" ".join(argv[:2]), 0, False] for argv in runs]
+
+
+def test_a_usage_error_leaves_the_cached_parser_as_it_was(capsys):
+    # main parses with one parser per process; a failed parse that had set
+    # --format first must not change how the next call parses
+    fresh_out, _ = _run_child(["gaussian", "integral", "--rho", "-0.52"], pin=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["gaussian", "integral", "--format", "csv", "--rho", "bogus"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "gaussian", "integral", "--rho", "-0.52")
+    assert code == 0
+    assert out.encode() == fresh_out
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_hardness_manifests_count_profiles_and_name_the_ndtr_module(capsys, monkeypatch):
+    monkeypatch.setattr(hardness, "_profile_memo", {})
+    composite = ["hardness", "composite", "--steps", "2000"]
+    optimize = ["hardness", "optimize", "--budget", "3", "--steps", "2000"]
+    fresh = [_run_child(argv, pin=False)[0] for argv in (composite, optimize)]
+    seen = []
+    for argv, fresh_out in zip((composite, optimize), fresh):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out.encode() == fresh_out
+        manifest = manifest_of(err)
+        seen.append(manifest["profiles"])
+        # scipy.special itself where another test has imported it
+        assert manifest["ndtr"] == gaussian._ndtr_module().__name__
+    distinct = len(set(figure1_config().rhos.tolist()))
+    assert distinct == 50
+    assert seen[0] == {"built": distinct, "from_memo": 0}
+    assert seen[1]["built"] >= 1 and seen[1]["from_memo"] >= distinct
+    # a fresh process takes ndtr from its compiled module
+    assert _run_child(composite, pin=False)[1]["ndtr"] == "scipy.special._special_ufuncs"

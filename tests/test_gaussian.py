@@ -1,10 +1,17 @@
 """Gaussian copula quadrature against closed-form oracles."""
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
+
+import minsumvc
+from minsumvc import gaussian
 
 from minsumvc import (
     copula_diag,
@@ -214,3 +221,89 @@ def test_diag_monotone_in_rho():
     # positive dependence concentrates diagonal mass
     vals = [copula_diag(rho, 0.4) for rho in (-0.9, -0.5, 0.0, 0.5, 0.9)]
     assert all(a < b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# Takes gaussian._ndtr from a fresh interpreter, where nothing has imported
+# scipy.special yet, with _NDTR_EXTENSION set to the given module.  Four
+# threads make the first call at once, and the load sleeps so that they
+# overlap in it.  Writes ndtr of the input array and reports how the
+# ufunc was found; then imports scipy.special.
+_NDTR_CHILD = """
+import importlib.util, json, sys, threading, time
+sys.path.insert(0, {src!r})
+import numpy as np
+from minsumvc import gaussian
+gaussian._NDTR_EXTENSION = {extension!r}
+loads = []
+spec_from_file_location = importlib.util.spec_from_file_location
+
+def slow_spec(*args, **kwargs):
+    loads.append(args[0])
+    time.sleep(0.05)
+    return spec_from_file_location(*args, **kwargs)
+
+importlib.util.spec_from_file_location = slow_spec
+barrier = threading.Barrier(4)
+got = []
+
+def first_call():
+    barrier.wait()
+    got.append(gaussian._ndtr())
+
+threads = [threading.Thread(target=first_call) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+np.save({out!r}, got[0](np.load({inp!r})))
+report = {{
+    "module": gaussian._ndtr_module().__name__,
+    "loads": loads,
+    "one_ufunc": all(u is got[0] for u in got),
+    "scipy_special_before": "scipy.special" in sys.modules,
+}}
+import scipy.special
+from scipy.special import _special_ufuncs
+report["same_as_scipy_special"] = scipy.special.ndtr is got[0]
+report["package_attribute"] = scipy.special._special_ufuncs is _special_ufuncs
+print(json.dumps(report))
+"""
+
+
+def _ndtr_inputs(monkeypatch):
+    """What copula_diag_grid passes to ndtr at three rhos, and edge values."""
+    seen = []
+
+    def recording(x, out=None):
+        seen.append(np.array(x, dtype=np.float64).ravel())
+        return ndtr(x, out=out)
+
+    monkeypatch.setattr(gaussian, "_ndtr", lambda: recording)
+    r = np.linspace(0.0, 1.0, 67)
+    for rho in (-0.979, -0.52, -0.1):
+        copula_diag_grid(rho, r)
+        copula_diag_grid(rho, 1.0 - r)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny, 2.2e-308, -2.2e-308,
+             8.3, -8.3, 38.5, -38.5]
+    return np.concatenate(seen + [np.array(edges)])
+
+
+@pytest.mark.parametrize("extension, module, loads", [
+    ("scipy.special._special_ufuncs", "scipy.special._special_ufuncs", 1),
+    ("scipy.special._no_such_module", "scipy.special", 0),  # no file
+    ("scipy.special._comb", "scipy.special", 1),  # a file without ndtr
+])
+def test_ndtr_is_scipy_special_ndtr_bit_for_bit(tmp_path, monkeypatch, extension, module, loads):
+    x = _ndtr_inputs(monkeypatch)
+    assert x.size > 3 * 160 * 60
+    np.save(tmp_path / "x.npy", x)
+    src = str(Path(minsumvc.__file__).resolve().parent.parent)
+    code = _NDTR_CHILD.format(src=src, extension=extension, inp=str(tmp_path / "x.npy"), out=str(tmp_path / "y.npy"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=120)
+    report = json.loads(proc.stdout)
+    assert report["module"] == module
+    assert report["loads"] == [extension] * loads
+    assert report["one_ufunc"] and report["same_as_scipy_special"] and report["package_attribute"]
+    assert report["scipy_special_before"] == (module == "scipy.special")
+    assert np.array_equal(np.load(tmp_path / "y.npy").view(np.uint64), ndtr(x).view(np.uint64))
