@@ -6,9 +6,9 @@ version, sha256 of each input file, wall time, for unweight the gadget
 count per subset-check certificate, for hardness composite and hardness
 optimize the thread pool size `workers`, the profile pairs `built` and
 taken `from_memo`, and the module `ndtr` came from, and for solve
---method exact, or two-phase where its exact Max-k-VC scans a table, the
-2^n table's `dp_table` dtype (uint16, float32 or float64) and bytes)
-goes to standard error.
+--method exact, two-phase where its exact Max-k-VC reads a table, and
+regular counterexample --verify up to n = 24, the 2^n table's `dp_table`
+dtype (uint16, float32 or float64) and bytes) goes to standard error.
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
 
@@ -136,7 +136,6 @@ def _cmd_gaussian_integral(args):
 
 def _cmd_solve(args):
     graph = load_graph(args.input)
-    extra = {}
     if args.method == "exact":
         res = msvc_exact_dp(graph)
     elif args.method == "brute":
@@ -145,12 +144,18 @@ def _cmd_solve(args):
         res = msvc_greedy(graph)
     else:
         res = msvc_two_phase(graph, seed=args.seed)
-    # two-phase scans a table for Max-k-VC at 0 < k = n // 2 < n <= 24,
+    payload = {"value": res.value, "ordering": list(res.ordering), "method": res.method}
+    # two-phase reads a table for Max-k-VC at 0 < k = n // 2 < n <= 24,
     # where C(n, k) is within the exact budget
     if args.method == "exact" or (args.method == "two-phase" and 2 <= graph.n <= DP_MAX_VERTICES):
-        dtype = _table_dtype(graph)
-        extra["dp_table"] = {"dtype": dtype.name, "bytes": dtype.itemsize << graph.n}
-    return {"value": res.value, "ordering": list(res.ordering), "method": res.method}, extra
+        return payload, _dp_table_entry(graph)
+    return payload
+
+
+def _dp_table_entry(graph):
+    """The manifest entry naming the dtype and bytes of the graph's 2^n table."""
+    dtype = _table_dtype(graph)
+    return {"dp_table": {"dtype": dtype.name, "bytes": dtype.itemsize << graph.n}}
 
 
 def _cmd_hardness_single(args):
@@ -319,6 +324,8 @@ def _cmd_regular_counterexample(args):
     if args.verify:
         rep = verify_counterexample(params)
         payload["verify"] = _fields(rep, "params", "n", "m", "formula_value")
+        if rep.exact_mode:
+            return payload, _dp_table_entry(graph)
     return payload
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Ordering, WeightedGraph, inside_weight_table, svc_value
-from .solvers import DP_CHUNK, DP_MAX_VERTICES, _exact_dp_in_place, covered_weight, max_kvc
+from .solvers import DP_MAX_VERTICES, _exact_dp_in_place, _popcount_minima, covered_weight, max_kvc
 
 # best published guarantee for Max-2-Sat subject to a bisection constraint
 ALPHA_MAX2SAT_BISECTION = 0.9401
@@ -202,14 +202,16 @@ def staged_value_formula(params):
     return t * t + 3 * s * t + 5 * s * s / 2 + t + 3 * s / 2
 
 
-def _vertex_cover_number(graph, table):
-    """n minus the most vertices of a set with no inside weight, read from
-    the table DP_CHUNK entries at a time (no 2^n temporary)."""
-    most = 0
-    for lo in range(0, table.size, DP_CHUNK):
-        empty = np.flatnonzero(table[lo : lo + DP_CHUNK] == 0) + lo
-        most = max(most, int(np.bitwise_count(empty).max(initial=0)))
-    return graph.n - most
+def _exact_facts(graph):
+    """(Max-k-VC subset at n // 2, vertex cover number, exact MSVC value) from
+    one inside-weight table: the popcount pass reads it, the DP overwrites it."""
+    n = graph.n
+    table = inside_weight_table(graph)
+    minima, masks = _popcount_minima(table, n)
+    subset = tuple(b for b in range(n) if masks[n // 2] >> b & 1)
+    # S covers every edge iff no weight lies inside its complement
+    cover = int(np.flatnonzero(minima == 0)[0])
+    return subset, cover, _exact_dp_in_place(graph, table).value
 
 
 @dataclass(frozen=True)
@@ -241,30 +243,21 @@ def verify_counterexample(params):
     """
     graph = counterexample_graph(params)
     n, m = graph.n, graph.m
-    order = staged_ordering(params)
-    staged = svc_value(graph, order)
+    staged = svc_value(graph, staged_ordering(params))
     formula = staged_value_formula(params)
     if abs(staged - formula) > 1e-9:
         raise AssertionError(f"staged simulation {staged} disagrees with formula {formula}")
 
     exact_mode = n <= DP_MAX_VERTICES
     if exact_mode:
-        # the table is read by Max-k-VC and the cover number, then the DP
-        # overwrites it
-        table = inside_weight_table(graph)
-        subset = max_kvc(graph, n // 2, mode="exact", table=table)
+        subset, vc, exact = _exact_facts(graph)
         coverage = covered_weight(graph, subset)
-        vc = _vertex_cover_number(graph, table)
-        exact = _exact_dp_in_place(graph, table).value
         if staged < exact - 1e-9:
             raise AssertionError("staged ordering beats the exact optimum")
     else:
-        exact = staged
-        coverage = float("nan")
-        vc = params.t + 2 * params.s
+        exact, coverage, vc = staged, float("nan"), params.t + 2 * params.s
 
     cap = (1.0 - params.p / params.q) * m
-    value = exact
     return CounterexampleReport(
         params=params,
         n=n,
@@ -273,10 +266,10 @@ def verify_counterexample(params):
         formula_value=formula,
         exact_value=exact,
         exact_mode=exact_mode,
-        value_over_n2=value / (n * n),
-        value_over_nm=value / (n * m),
+        value_over_n2=exact / (n * n),
+        value_over_nm=exact / (n * m),
         normalized_target=0.25 + params.delta,
-        normalized_gap=value / (n * n) - (0.25 + params.delta),
+        normalized_gap=exact / (n * n) - (0.25 + params.delta),
         best_half_coverage=coverage,
         coverage_cap=cap,
         coverage_margin=coverage - cap if exact_mode else float("nan"),
@@ -315,15 +308,12 @@ def coverage_bound_check(graph, delta, msvc_value=None):
         raise ValueError("graph is not weighted-regular")
     if n % 2:
         raise ValueError("graph order must be even")
-    table = None
-    if msvc_value is None:
-        if n > DP_MAX_VERTICES:
-            raise ValueError(f"exact solve needs n <= {DP_MAX_VERTICES}; supply msvc_value")
-        table = inside_weight_table(graph)
-    subset = max_kvc(graph, n // 2, mode="exact", table=table)
-    if table is not None:
-        # Max-k-VC has read the table; the DP overwrites it
-        msvc_value = _exact_dp_in_place(graph, table).value
+    if msvc_value is not None:
+        subset = max_kvc(graph, n // 2, mode="exact")
+    elif n > DP_MAX_VERTICES:
+        raise ValueError(f"exact solve needs n <= {DP_MAX_VERTICES}; supply msvc_value")
+    else:
+        subset, _, msvc_value = _exact_facts(graph)
 
     total = graph.total_weight()
     norm = msvc_value / (n * total)

@@ -30,10 +30,10 @@ that each gather takes whole rows.  The ordering is rebuilt from f: from
 V down, drop the lowest v minimizing f(S minus v).  The min is exact, so
 every f(S) adds the same two operands as a per-mask scan, and the
 rebuild picks the v a strict-< scan keeps: value and ordering do not
-depend on lo or the task size.  Exact Max-k-VC scans the same table in
-the same layout, DP_CHUNK >> lo rows at a time.  A brute-force
-enumeration over all n! orderings serves as an independent oracle for
-n <= 8.
+depend on lo or the task size.  One pass reads the same layout for the
+least W(S^c, S^c) and least mask S at each |S| = k: Max-k-VC at k is its
+entry at k, the vertex cover number the least k with minimum 0.  A
+brute-force enumeration over all n! orderings is an oracle for n <= 8.
 
 Approximate solvers: greedy by uncovered incident weight and a two-phase
 schedule built around an exact or local-search Max-k-VC subset at
@@ -48,7 +48,7 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from .graph import Ordering, WeightedGraph, _table_dtype, inside_weight_table, svc_value
+from .graph import Ordering, _distinct, _table_dtype, inside_weight_table, svc_value
 
 DP_MAX_VERTICES = 24
 BRUTE_MAX_VERTICES = 8
@@ -194,14 +194,10 @@ def msvc_bruteforce(graph):
     n = graph.n
     if n > BRUTE_MAX_VERTICES:
         raise ValueError(f"brute force limited to n <= {BRUTE_MAX_VERTICES}, got {n}")
-    if n == 0:
-        return SolveResult(0.0, Ordering(()), "brute")
-
+    # no vertex or no edge: every ordering scores 0, and the first is kept
     perms = np.array(list(permutations(range(n))), dtype=np.int64)
     pos = np.argsort(perms, axis=1)
     u, v, w = graph.edge_arrays()
-    if graph.m == 0:
-        return SolveResult(0.0, Ordering(tuple(range(n))), "brute")
     times = np.minimum(pos[:, u], pos[:, v]) + 1
     values = times @ w
     i = int(np.argmin(values))
@@ -233,10 +229,10 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
     starts.  Returns a sorted vertex tuple.
 
     On ties the two exact paths may differ.  Up to DP_MAX_VERTICES (24)
-    vertices the table scan returns the least mask among the maximizers
-    (bit v is vertex v).  Above it, the enumeration returns the first subset
-    in combinations order that covers over 1e-15 more than every subset
-    before it.  With a unique maximum both return it.
+    vertices the subset is _popcount_minima's entry at k: the least mask
+    among the maximizers (bit v is vertex v).  Above it, the enumeration
+    returns the first subset in combinations order that covers over 1e-15
+    more than every subset before it.  With a unique maximum both return it.
 
     Swapping x in S for y outside it gains (row[y] - into[y]) - (row[x] -
     into[x]) + a[x, y], with a the pair weights, row its row sums and into[v]
@@ -257,13 +253,15 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
         if math.comb(n, k) > KVC_BUDGET:
             raise ValueError(f"C({n},{k}) exceeds the exact budget {KVC_BUDGET}")
         if n <= DP_MAX_VERTICES:
-            if table is None:
-                table = inside_weight_table(graph)
-            return _max_kvc_table(table, n, k)
-        a = graph.weight_matrix()
-        row = a.sum(axis=1)
+            mask = _popcount_minima(inside_weight_table(graph) if table is None else table, n, [k])[1][0]
+            return tuple(b for b in range(n) if mask >> b & 1)
+    elif mode != "local-search":
+        raise ValueError(f"unknown mode {mode!r}")
+    a = graph.weight_matrix()
+    row = a.sum(axis=1)
+    best_val, best_set = -1.0, None
+    if mode == "exact":
         combos = combinations(range(n), k)
-        best_val, best_set = -1.0, None
         while (c := np.fromiter(islice(combos, _KVC_BLOCK), dtype=(np.intp, k))).size:
             cov = row[c].sum(axis=1) - a[c[:, :, None], c[:, None, :]].sum(axis=(1, 2)) / 2.0
             # in order, a subset replaces the best when it covers over 1e-15 more
@@ -272,56 +270,60 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
                     best_val, best_set = cov[i], c[i]
         return tuple(int(v) for v in best_set)
 
-    if mode == "local-search":
-        rng = np.random.default_rng(seed)
-        a = graph.weight_matrix()
-        row = a.sum(axis=1)
-
-        best_val, best_set = -1.0, None
-        for _ in range(max(1, restarts)):
-            inside = np.zeros(n, dtype=bool)
-            inside[rng.choice(n, size=k, replace=False)] = True
-            while True:
-                ins, outs = np.nonzero(inside)[0], np.nonzero(~inside)[0]
-                to_out = row - a[:, inside].sum(axis=1)
-                gain = to_out[outs] - to_out[ins][:, None] + a[np.ix_(ins, outs)]
-                x, y = divmod(int(np.argmax(gain)), outs.size)
-                if not gain[x, y] > 1e-12:
-                    break
-                inside[ins[x]] = False
-                inside[outs[y]] = True
-            idx = np.nonzero(inside)[0]
-            val = float(row[idx].sum()) - float(a[np.ix_(idx, idx)].sum()) / 2.0
-            if val > best_val:
-                best_val = val
-                best_set = tuple(int(i) for i in idx)
-        return best_set
-
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = np.random.default_rng(seed)
+    for _ in range(max(1, restarts)):
+        inside = np.zeros(n, dtype=bool)
+        inside[rng.choice(n, size=k, replace=False)] = True
+        while True:
+            ins, outs = np.nonzero(inside)[0], np.nonzero(~inside)[0]
+            to_out = row - a[:, inside].sum(axis=1)
+            gain = to_out[outs] - to_out[ins][:, None] + a[np.ix_(ins, outs)]
+            x, y = divmod(int(np.argmax(gain)), outs.size)
+            if not gain[x, y] > 1e-12:
+                break
+            inside[ins[x]] = False
+            inside[outs[y]] = True
+        idx = np.nonzero(inside)[0]
+        val = float(row[idx].sum()) - float(a[np.ix_(idx, idx)].sum()) / 2.0
+        if val > best_val:
+            best_val, best_set = val, tuple(int(i) for i in idx)
+    return best_set
 
 
-def _max_kvc_table(table, n, k):
-    """The least k-set S minimizing W(S^c, S^c) = total - covered(S).
+def _popcount_minima(table, n, popcounts=None):
+    """For each popcount k of S asked for, ascending (all 0..n by default):
+    the least W(S^c, S^c) over |S| = k, and the least mask S reaching it.
 
-    Blocks in the DP's layout, of one high-bit popcount c and DP_CHUNK >> lo
-    rows (high layer c x low layer k - c), each in ascending mask order: the
-    least (W, mask) of the blocks' first minima is the first minimum over
-    all k-sets ascending.
+    Reads the DP's reversed view DP_CHUNK >> lo rows of one high-bit popcount
+    c at a time, on the low-bit columns of popcount k - c, for one min per
+    row and k.  The least mask lies in the first row reaching its k's min,
+    at that row's first such column: ties do not depend on the split.
     """
     lo = min(n, _LOW_BITS)
-    comp = table.reshape(1 << (n - lo), 1 << lo)[::-1, ::-1]
+    top, low = (1 << (n - lo)) - 1, (1 << lo) - 1
+    t = table.reshape(top + 1, low + 1)
     row_layers, col_layers = _popcount_layers(n - lo), _popcount_layers(lo)
+    ks = np.arange(n + 1) if popcounts is None else _distinct(np.asarray(popcounts))
     step = max(1, DP_CHUNK >> lo)
-    best = None
-    for c in range(max(0, k - lo), min(k, n - lo) + 1):
-        cols = col_layers[k - c]
-        for rows in np.split(row_layers[c], range(step, row_layers[c].size, step)):
-            block = comp[np.ix_(rows, cols)]
-            i, j = divmod(int(np.argmin(block)), cols.size)
-            cand = (block[i, j], int(rows[i]) << lo | int(cols[j]))
-            if best is None or cand < best:
-                best = cand
-    return tuple(b for b in range(n) if best[1] >> b & 1)
+    whole = np.empty((min(step, max(map(len, row_layers))), low + 1), table.dtype)
+    # 2^15 is above every entry of a uint16 table
+    row_min = np.full((top + 1, ks.size), np.inf if table.dtype.kind == "f" else 1 << 15, table.dtype)
+    for c, rows in enumerate(row_layers):
+        here = slice(*np.searchsorted(ks, [c, c + lo + 1]))  # k - c in 0..lo
+        if here.start == here.stop:
+            continue
+        cols = [col_layers[k - c] for k in ks[here]]
+        starts, cols = np.cumsum([0, *map(len, cols[:-1])]), np.concatenate(cols) ^ low
+        for s in range(0, rows.size, step):
+            block = whole[: rows[s : s + step].size]
+            t.take(rows[s : s + step] ^ top, axis=0, out=block, mode="clip")
+            block = block.take(cols, axis=1, mode="clip")
+            row_min[rows[s : s + step], here] = np.minimum.reduceat(block, starts, axis=1)
+    masks = []
+    for r, k in zip(row_min.argmin(axis=0).tolist(), ks.tolist()):
+        cols = col_layers[k - r.bit_count()]
+        masks.append(r << lo | int(cols[np.argmin(t[r ^ top, cols ^ low])]))
+    return row_min.min(axis=0), masks
 
 
 def msvc_two_phase(graph, kvc_mode=None, restarts=10, seed=0):

@@ -206,6 +206,21 @@ def max_kvc_masks(graph, k):
     return tuple(b for b in range(n) if best >> b & 1)
 
 
+def popcount_minima_scan(table, n):
+    """Per popcount k of S: the least table[S ^ full] = W(S^c, S^c) over
+    |S| = k, and the first mask S reaching it, over all masks ascending."""
+    masks = np.arange(1 << n)
+    pop = np.bitwise_count(masks)
+    minima, least = [], []
+    for k in range(n + 1):
+        ks = masks[pop == k]
+        comp = table[ks ^ ((1 << n) - 1)]
+        i = int(np.argmin(comp))
+        minima.append(float(comp[i]))
+        least.append(int(ks[i]))
+    return minima, least
+
+
 def optimize_two_phase_grid(alpha, step=1e-5):
     """(optimal_eps, optimal_ratio, branch_gap) as the first minimum over the
     whole grid np.arange(step, 0.25, step): 24,999 points at the default step."""

@@ -329,6 +329,19 @@ def test_regular_counterexample_verify(tmp_path, capsys):
     assert load_graph(out_path).m == 10
 
 
+def test_regular_counterexample_verify_manifest_names_the_dp_table(capsys):
+    # the exact checks hold one uint16 table at n = 20; stdout keeps the
+    # bytes it had before the manifest named the table (their sha256)
+    code, out, err = run_cli(capsys, "regular", "counterexample", "--p", "1", "--q", "10", "--scale", "2", "--verify")
+    assert code == 0
+    assert manifest_of(err)["dp_table"] == {"dtype": "uint16", "bytes": 2097152}
+    assert hashlib.sha256(out.encode()).hexdigest() == "b5c8a25afe1b3216a7f62684b2cdadbfc2cadb0d82e5dcb4a1a63884f599f10b"
+    # no table past n = 24, nor without --verify
+    for argv in (("--q", "7", "--verify"), ("--q", "10")):
+        code, _, err = run_cli(capsys, "regular", "counterexample", "--p", "1", *argv)
+        assert code == 0 and "dp_table" not in manifest_of(err)
+
+
 def test_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "hardness", "single", "--rho", "-0.52", "--format", "csv"
@@ -562,10 +575,17 @@ def test_no_command_loads_scipy_special(tmp_path):
 
 
 def test_reduction_and_unweight_do_not_load_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call; the writer, verify_reduction
-    # and unweight take distinct values without it.  hardness composite loads
-    # scipy, but not scipy.special, which would import numpy.ma
-    runs = _reduction_and_unweight_runs(tmp_path) + [["hardness", "composite", "--steps", "2000"]]
+    # np.unique imports numpy.ma (about 0.6 MB resident) on its first call;
+    # the writer, verify_reduction, unweight and the popcount pass take
+    # distinct values without it.  hardness composite loads scipy, but not
+    # scipy.special, which would import numpy.ma
+    small = tmp_path / "g.graph"
+    save_graph(random_weighted_graph(8, 0.5, 3), small)
+    runs = _reduction_and_unweight_runs(tmp_path) + [
+        ["hardness", "composite", "--steps", "2000"],
+        *(["solve", "--method", method, "--input", str(small)] for method in ("exact", "two-phase", "greedy", "brute")),
+        ["regular", "counterexample", "--p", "1", "--q", "10", "--verify"],
+    ]
     seen = _probe_module("numpy.ma", runs)
     assert seen == [["import", 0, False]] + [[" ".join(argv[:2]), 0, False] for argv in runs]
 

@@ -291,21 +291,23 @@ def test_vertex_cover_number_of_blocks():
 
 @pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
 def test_vertex_cover_number_reads_the_table_in_chunks(monkeypatch, chunk):
-    monkeypatch.setattr(regular, "DP_CHUNK", chunk)
+    # the popcount pass reads DP_CHUNK >> lo rows at a time: one row at 7
+    monkeypatch.setattr(solvers, "DP_CHUNK", chunk)
     for seed in range(10):
         graph = random_weighted_graph(3 + seed, 0.35, seed)
-        table = inside_weight_table(graph)
         covers = [s for s in range(1 << graph.n) if all(s >> u & 1 or s >> v & 1 for u, v, _ in graph.edges)]
         oracle = min(bin(s).count("1") for s in covers)
-        assert regular._vertex_cover_number(graph, table) == oracle
+        assert regular._exact_facts(graph)[1] == oracle
 
 
 def test_counterexample_checks_build_one_table(monkeypatch):
     params = CounterexampleParams.from_fraction(1, 8)
     graph = counterexample_graph(params)
-    # unshared: each solver builds its own table
+    # unshared: the popcount pass and the DP each build their own table
     monkeypatch.setattr(regular, "_exact_dp_in_place", lambda g, table: solvers.msvc_exact_dp(g))
-    monkeypatch.setattr(regular, "max_kvc", lambda g, k, mode, table=None: solvers.max_kvc(g, k, mode))
+    monkeypatch.setattr(
+        regular, "_popcount_minima", lambda table, n: solvers._popcount_minima(inside_weight_table(graph), n)
+    )
     unshared = verify_counterexample(params), coverage_bound_check(graph, params.delta)
     monkeypatch.undo()
 
@@ -325,11 +327,12 @@ def test_counterexample_checks_build_one_table(monkeypatch):
 
 
 def test_counterexample_checks_hold_one_table():
-    # Max-k-VC and the cover number read the table, then the DP overwrites
-    # it: no copy.  The DP adds one scratch set, the cover number one
-    # DP_CHUNK block at a time.  Unit weights: a uint16 table, a quarter of
-    # a float64 one (0.3025 and 0.3022 measured; 0.387 with a 2^n mask and
-    # index for the cover number, 0.64 and 0.59 with a float32 table)
+    # the popcount pass reads the table, then the DP overwrites it: no
+    # copy.  The DP adds one scratch set, the pass two blocks of 64 rows.
+    # Unit weights: a uint16 table, a quarter of a float64 one (0.3027 and
+    # 0.3023 measured, 0.3025 and 0.3022 with the one-k scan and the chunked
+    # cover count; 0.387 with a 2^n mask and index for the cover
+    # number, 0.64 and 0.59 with a float32 table)
     params = CounterexampleParams.from_fraction(1, 10, 2)
     graph = counterexample_graph(params)
     assert params.n == 20

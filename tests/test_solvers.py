@@ -32,10 +32,17 @@ from minsumvc import (
     svc_value,
     verify_counterexample,
 )
-from minsumvc import solvers
+from minsumvc import regular, solvers
 from minsumvc.graph import inside_weight_table
 
-from _oracles import inside_weight_table_loop, max_kvc_loop, max_kvc_masks, msvc_exact_dp_layered, msvc_random
+from _oracles import (
+    inside_weight_table_loop,
+    max_kvc_loop,
+    max_kvc_masks,
+    msvc_exact_dp_layered,
+    msvc_random,
+    popcount_minima_scan,
+)
 
 
 def _random_dyadic_graph(rng):
@@ -367,6 +374,64 @@ def test_max_kvc_table_row_chunks_break_ties_like_the_mask_scan(monkeypatch):
             for rows in (1, 2, 3):
                 monkeypatch.setattr(solvers, "DP_CHUNK", rows << 4)
                 assert [max_kvc(h, k, mode="exact", table=table) for k in range(n + 1)] == expected, (n, rows)
+
+
+def _popcount_cases(sizes):
+    """Per n: a sparse graph, often disconnected, and a dense one, each with
+    float weights and with unit weights."""
+    for n in sizes:
+        for g in (random_weighted_graph(n, 0.2, n), random_weighted_graph(n, 0.6, 50 + n)):
+            yield n, g
+            yield n, WeightedGraph.from_arrays(n, *g.edge_arrays()[:2], np.ones(g.m))
+
+
+def _pass_lists(table, n, popcounts=None):
+    minima, masks = solvers._popcount_minima(table, n, popcounts)
+    return minima.tolist(), masks
+
+
+def test_popcount_minima_match_the_scan_over_all_masks():
+    # per popcount, the least W(S^c, S^c) and the least mask reaching it,
+    # connected or not, where unit weights tie often and float ones rarely
+    for n, g in _popcount_cases(range(2, 13)):
+        table = inside_weight_table(g)
+        assert _pass_lists(table, n) == popcount_minima_scan(table, n), (n, g.total_weight())
+    single = WeightedGraph(1, [])
+    assert _pass_lists(inside_weight_table(single), 1) == ([0.0, 0.0], [0, 1])
+
+
+def test_popcount_minima_do_not_depend_on_the_split(monkeypatch):
+    # every low/high split, and row chunks of one, two and three rows, so
+    # ties straddle block borders
+    for n, g in _popcount_cases((5, 9, 12)):
+        table = inside_weight_table(g)
+        expected = popcount_minima_scan(table, n)
+        for lo in range(1, n + 1):
+            monkeypatch.setattr(solvers, "_LOW_BITS", lo)
+            assert _pass_lists(table, n) == expected, (n, lo)
+        monkeypatch.setattr(solvers, "_LOW_BITS", 4)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(solvers, "DP_CHUNK", rows << 4)
+            assert _pass_lists(table, n) == expected, (n, rows)
+        monkeypatch.undo()
+
+
+def test_one_popcount_is_that_entry_of_the_full_pass():
+    for n, g in _popcount_cases((4, 11, 12)):
+        table = inside_weight_table(g)
+        minima, masks = _pass_lists(table, n)
+        for k in range(n + 1):
+            assert _pass_lists(table, n, [k]) == ([minima[k]], [masks[k]]), (n, k)
+
+
+def test_popcount_pass_on_the_block_unions():
+    # t/2 K_{2,2} and s K_3: each block needs two vertices to be covered
+    for p, q in ((1, 8), (1, 10)):
+        params = CounterexampleParams.from_fraction(p, q)
+        graph = counterexample_graph(params)
+        subset, cover, _ = regular._exact_facts(graph)
+        assert cover == params.t + 2 * params.s
+        assert subset == max_kvc_masks(graph, graph.n // 2)
 
 
 def test_max_kvc_blocks_match_the_per_subset_loop(monkeypatch):
