@@ -120,11 +120,6 @@ def _emit(payload, fmt):
         print(json.dumps(payload, indent=2))
 
 
-def _common_flags(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json",
-                     help="output format on stdout (default json)")
-
-
 def _cmd_gaussian_gamma(args):
     value = gaussian_copula(args.rho, args.x, args.y)
     return {"rho": args.rho, "x": args.x, "y": args.y, "value": value}
@@ -256,21 +251,6 @@ def _cmd_unweight(args):
     graph = load_graph(args.input)
     out, rep = unweight(graph, args.m, eps, args.seed)
     save_graph(out, args.out)
-    gadgets = [
-        {
-            "edge_index": i,
-            "weight": g.spec.weight,
-            "target_degree": g.spec.target_degree,
-            "retries": g.retries,
-            "sampled_edges": g.sampled_edges,
-            "added_edges": g.added_edges,
-            "subset_mode": g.subset_check.mode,
-            "subset_deviation": g.subset_check.max_deviation,
-            "subset_bound": g.subset_check.bound,
-            "subset_margin": g.subset_check.margin,
-        }
-        for i, g in enumerate(rep.gadgets)
-    ]
     payload = {
         "n": out.n,
         "m": out.m,
@@ -280,9 +260,22 @@ def _cmd_unweight(args):
         "slack_2eps_output": rep.slack_2eps_output,
     }
     if args.report:
-        report = dict(payload)
-        report["eps"] = str(rep.eps)
-        report["gadgets"] = gadgets
+        gadgets = [
+            {
+                "edge_index": i,
+                "weight": g.spec.weight,
+                "target_degree": g.spec.target_degree,
+                "retries": g.retries,
+                "sampled_edges": g.sampled_edges,
+                "added_edges": g.added_edges,
+                "subset_mode": g.subset_check.mode,
+                "subset_deviation": g.subset_check.max_deviation,
+                "subset_bound": g.subset_check.bound,
+                "subset_margin": g.subset_check.margin,
+            }
+            for i, g in enumerate(rep.gadgets)
+        ]
+        report = {**payload, "eps": str(rep.eps), "gadgets": gadgets}
         with open(args.report, "w", encoding="ascii") as fh:
             json.dump(_clean(report), fh, indent=2)
             fh.write("\n")
@@ -329,6 +322,21 @@ def _cmd_regular_counterexample(args):
     return payload
 
 
+def _command(parent, name, handler, help, epilog=None):
+    """Subparser name of parent, running handler (None for a verb group); an
+    epilog keeps its line breaks."""
+    layout = {"epilog": epilog, "formatter_class": argparse.RawDescriptionHelpFormatter} if epilog else {}
+    sub = parent.add_parser(name, help=help, **layout)
+    if handler:
+        sub.set_defaults(handler=handler)
+    return sub
+
+
+def _group(top, name, help, epilog=None):
+    """A command whose verbs are added to the subparsers returned."""
+    return _command(top, name, None, help, epilog).add_subparsers(dest="verb", required=True, metavar="VERB")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process (main parses every call with it)."""
@@ -339,107 +347,54 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"minsumvc {__version__}")
     top = parser.add_subparsers(dest="subcommand", required=True, metavar="COMMAND")
 
-    gaussian = top.add_parser("gaussian", help="correlated gaussian quadrant probabilities")
-    gsub = gaussian.add_subparsers(dest="verb", required=True, metavar="VERB")
-    gg = gsub.add_parser("gamma", help="copula value at (x, y)")
+    gsub = _group(top, "gaussian", "correlated gaussian quadrant probabilities")
+    gg = _command(gsub, "gamma", _cmd_gaussian_gamma, "copula value at (x, y)")
     gg.add_argument("--rho", type=float, required=True)
     gg.add_argument("--x", type=float, required=True)
     gg.add_argument("--y", type=float, required=True)
-    _common_flags(gg)
-    gg.set_defaults(handler=_cmd_gaussian_gamma)
-    gi = gsub.add_parser("integral", help="diagonal integral of the copula")
+    gi = _command(gsub, "integral", _cmd_gaussian_integral, "diagonal integral of the copula")
     gi.add_argument("--rho", type=float, required=True)
-    _common_flags(gi)
-    gi.set_defaults(handler=_cmd_gaussian_integral)
 
-    solve = top.add_parser(
-        "solve",
-        help="order a graph and report the svc value",
-        epilog=GRAPH_FORMAT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    solve = _command(top, "solve", _cmd_solve, "order a graph and report the svc value", GRAPH_FORMAT_HELP)
     solve.add_argument("--method", choices=("exact", "brute", "greedy", "two-phase"), required=True)
     solve.add_argument("--input", required=True, metavar="FILE")
     solve.add_argument("--seed", type=int, default=0)
-    _common_flags(solve)
-    solve.set_defaults(handler=_cmd_solve)
 
-    hardness = top.add_parser("hardness", help="inapproximability ratios")
-    hsub = hardness.add_subparsers(dest="verb", required=True, metavar="VERB")
-    hs = hsub.add_parser("single", help="single-graph ratio at correlation rho")
+    hsub = _group(top, "hardness", "inapproximability ratios")
+    hs = _command(hsub, "single", _cmd_hardness_single, "single-graph ratio at correlation rho")
     hs.add_argument("--rho", type=float, required=True)
-    _common_flags(hs)
-    hs.set_defaults(handler=_cmd_hardness_single)
-    hc = hsub.add_parser(
-        "composite",
-        help="scheduled ratio over a weighted family",
-        epilog=CONFIG_FORMAT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    hc = _command(
+        hsub, "composite", _cmd_hardness_composite, "scheduled ratio over a weighted family", CONFIG_FORMAT_HELP
     )
     hc.add_argument("--config", metavar="FILE", help="defaults to the bundled 60-pair family")
     hc.add_argument("--steps", type=int, default=100_000)
-    _common_flags(hc)
-    hc.set_defaults(handler=_cmd_hardness_composite)
-    ho = hsub.add_parser(
-        "optimize",
-        help="refine a family by coordinate and gradient steps",
-        epilog=CONFIG_FORMAT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    ho = _command(
+        hsub, "optimize", _cmd_hardness_optimize, "refine a family by coordinate and gradient steps", CONFIG_FORMAT_HELP
     )
     ho.add_argument("--config", metavar="FILE", help="defaults to the bundled 60-pair family")
     ho.add_argument("--budget", type=int, default=200)
     ho.add_argument("--steps", type=int, default=20_000)
     ho.add_argument("--out", metavar="FILE", help="write the optimized config here")
-    _common_flags(ho)
-    ho.set_defaults(handler=_cmd_hardness_optimize)
 
     reduce_fmt = UG_FORMAT_HELP + "\n" + LABELS_FORMAT_HELP + "\n" + GRAPH_FORMAT_HELP
-    reduce = top.add_parser(
-        "reduce",
-        help="long-code reduction graphs",
-        epilog=reduce_fmt,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    rsub = reduce.add_subparsers(dest="verb", required=True, metavar="VERB")
-    rb = rsub.add_parser(
-        "build",
-        help="build the reduction graph from a unique-games instance",
-        epilog=reduce_fmt,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    rsub = _group(top, "reduce", "long-code reduction graphs", reduce_fmt)
+    rb = _command(
+        rsub, "build", _cmd_reduce_build, "build the reduction graph from a unique-games instance", reduce_fmt
     )
     rb.add_argument("--input", required=True, metavar="FILE")
     rb.add_argument("--rho", type=float, required=True)
     rb.add_argument("--out", required=True, metavar="FILE")
-    _common_flags(rb)
-    rb.set_defaults(handler=_cmd_reduce_build)
-    rv = rsub.add_parser(
-        "verify",
-        help="check a built graph against its instance",
-        epilog=reduce_fmt,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    rv = _command(rsub, "verify", _cmd_reduce_verify, "check a built graph against its instance", reduce_fmt)
     rv.add_argument("--input", required=True, metavar="FILE", help="unique-games instance")
     rv.add_argument("--graph", required=True, metavar="FILE", help="built reduction graph")
     rv.add_argument("--rho", type=float, required=True)
-    _common_flags(rv)
-    rv.set_defaults(handler=_cmd_reduce_verify)
-    ro = rsub.add_parser(
-        "order",
-        help="completeness ordering induced by a labeling",
-        epilog=reduce_fmt,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    ro = _command(rsub, "order", _cmd_reduce_order, "completeness ordering induced by a labeling", reduce_fmt)
     ro.add_argument("--input", required=True, metavar="FILE", help="unique-games instance")
     ro.add_argument("--labels", required=True, metavar="FILE")
     ro.add_argument("--rho", type=float, help="also build the graph and evaluate the ordering")
-    _common_flags(ro)
-    ro.set_defaults(handler=_cmd_reduce_order)
 
-    unw = top.add_parser(
-        "unweight",
-        help="replace weighted edges by sampled regular gadgets",
-        epilog=GRAPH_FORMAT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    unw = _command(
+        top, "unweight", _cmd_unweight, "replace weighted edges by sampled regular gadgets", GRAPH_FORMAT_HELP
     )
     unw.add_argument("--input", required=True, metavar="FILE")
     unw.add_argument("--m", type=int, required=True, help="copies per vertex")
@@ -447,25 +402,23 @@ def build_parser():
     unw.add_argument("--seed", type=int, default=0)
     unw.add_argument("--out", required=True, metavar="FILE")
     unw.add_argument("--report", metavar="FILE", help="write per-gadget margins as JSON")
-    _common_flags(unw)
-    unw.set_defaults(handler=_cmd_unweight)
 
-    regular = top.add_parser("regular", help="regular-graph approximation analysis")
-    resub = regular.add_subparsers(dest="verb", required=True, metavar="VERB")
-    rr = resub.add_parser("ratio", help="optimize the two-phase threshold")
+    resub = _group(top, "regular", "regular-graph approximation analysis")
+    rr = _command(resub, "ratio", _cmd_regular_ratio, "optimize the two-phase threshold")
     rr.add_argument("--alpha", type=float, default=ALPHA_MAX2SAT_BISECTION)
     rr.add_argument("--emit-curve", metavar="FILE", help="write an eps,ratio CSV sweep")
-    _common_flags(rr)
-    rr.set_defaults(handler=_cmd_regular_ratio)
-    rc = resub.add_parser("counterexample", help="K_{2,2} + K_3 tightness construction")
+    rc = _command(resub, "counterexample", _cmd_regular_counterexample, "K_{2,2} + K_3 tightness construction")
     rc.add_argument("--p", type=int, required=True)
     rc.add_argument("--q", type=int, required=True)
     rc.add_argument("--scale", type=int, default=1)
     rc.add_argument("--verify", action="store_true")
     rc.add_argument("--out", metavar="FILE", help="write the graph here")
-    _common_flags(rc)
-    rc.set_defaults(handler=_cmd_regular_counterexample)
 
+    # last, so that it closes every command's option list
+    for leaf in (gg, gi, solve, hs, hc, ho, rb, rv, ro, unw, rr, rc):
+        leaf.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="output format on stdout (default json)"
+        )
     return parser
 
 

@@ -694,7 +694,8 @@ def _write_records(fmt, header, fields):
 
 
 class _File(io.BufferedReader):
-    """A binary file open for reading; len() is its size in bytes, as for bytes.
+    """A binary file open for reading; len() is its size in bytes, as for bytes
+    (the benchmark's tracer counts the bytes read_graph reads by it).
 
     sha256 hashes every byte that read and readline return.  A parse that
     succeeds reads each byte of the file once, in order (only a failing one

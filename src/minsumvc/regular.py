@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Ordering, WeightedGraph, inside_weight_table, svc_value
-from .solvers import DP_MAX_VERTICES, _exact_dp_in_place, _popcount_minima, covered_weight, max_kvc
+from .solvers import DP_MAX_VERTICES, _exact_dp_in_place, _popcount_minima, covered_weight
 
 # best published guarantee for Max-2-Sat subject to a bisection constraint
 ALPHA_MAX2SAT_BISECTION = 0.9401
@@ -293,13 +293,14 @@ class CoverageBoundReport:
     holds: bool
 
 
-def coverage_bound_check(graph, delta, msvc_value=None):
+def coverage_bound_check(graph, delta):
     """Check that an optimal half prefix covers a 1 - sqrt(delta) fraction.
 
     Applies when the graph is weighted-regular with even order and its
     exact normalized value sits at 1/4 + delta (within 1/n) for a delta in
     (0, 1/16); outside that regime the report carries the coverage numbers
-    anyway with applicable=False and the failed condition named.
+    anyway with applicable=False and the failed condition named.  The exact
+    value and half cover come from _exact_facts, so n <= DP_MAX_VERTICES.
     """
     n = graph.n
     incident = graph.weighted_degrees()
@@ -308,12 +309,9 @@ def coverage_bound_check(graph, delta, msvc_value=None):
         raise ValueError("graph is not weighted-regular")
     if n % 2:
         raise ValueError("graph order must be even")
-    if msvc_value is not None:
-        subset = max_kvc(graph, n // 2, mode="exact")
-    elif n > DP_MAX_VERTICES:
-        raise ValueError(f"exact solve needs n <= {DP_MAX_VERTICES}; supply msvc_value")
-    else:
-        subset, _, msvc_value = _exact_facts(graph)
+    if n > DP_MAX_VERTICES:
+        raise ValueError(f"exact solve limited to n <= {DP_MAX_VERTICES} vertices, got {n}")
+    subset, _, msvc_value = _exact_facts(graph)
 
     total = graph.total_weight()
     norm = msvc_value / (n * total)

@@ -48,7 +48,7 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from .graph import Ordering, _distinct, _table_dtype, inside_weight_table, svc_value
+from .graph import Ordering, _distinct, inside_weight_table, svc_value
 
 DP_MAX_VERTICES = 24
 BRUTE_MAX_VERTICES = 8
@@ -74,29 +74,13 @@ class SolveResult:
             raise ValueError("svc value must be non-negative")
 
 
-def msvc_exact_dp(graph, *, table=None):
-    """Exact MSVC over all 2^n subsets; n <= 24.
-
-    A given table = inside_weight_table(graph) is checked by _check_table,
-    then copied, never changed.
-    """
+def msvc_exact_dp(graph):
+    """Exact MSVC over all 2^n subsets, on the graph's own inside-weight
+    table; n <= 24."""
     n = graph.n
     if n > DP_MAX_VERTICES:
         raise ValueError(f"exact DP limited to n <= {DP_MAX_VERTICES}, got {n}")
-    if table is not None:
-        _check_table(graph, table)
-    return _exact_dp_in_place(graph, inside_weight_table(graph) if table is None else table.copy())
-
-
-def _check_table(graph, table):
-    """Refuse a table that is not 2^n long, or integer in another dtype than
-    inside_weight_table(graph), where a sum could wrap; float tables pass."""
-    dtype = _table_dtype(graph)
-    if table.shape != (1 << graph.n,) or (table.dtype.kind != "f" and table.dtype != dtype):
-        raise ValueError(
-            f"expected a table of 2^{graph.n} = {1 << graph.n} entries in {dtype.name} "
-            f"(or a float dtype), got shape {table.shape} in {table.dtype.name}"
-        )
+    return _exact_dp_in_place(graph, inside_weight_table(graph))
 
 
 def _exact_dp_in_place(graph, table):
@@ -219,14 +203,13 @@ def covered_weight(graph, subset):
     return float(w[mark[u] | mark[v]].sum())
 
 
-def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
+def max_kvc(graph, k, mode="exact", restarts=10, seed=0):
     """A k-subset maximizing covered edge weight.
 
     mode="exact" enumerates subsets (budget C(n,k) <= 10^7 enforced), by
-    table = inside_weight_table(graph) while n <= DP_MAX_VERTICES (a given
-    table is checked by _check_table), and returns a true maximizer;
-    mode="local-search" runs steepest-swap hill climbing from seeded random
-    starts.  Returns a sorted vertex tuple.
+    the graph's own inside_weight_table while n <= DP_MAX_VERTICES, and
+    returns a true maximizer; mode="local-search" runs steepest-swap hill
+    climbing from seeded random starts.  Returns a sorted vertex tuple.
 
     On ties the two exact paths may differ.  Up to DP_MAX_VERTICES (24)
     vertices the subset is _popcount_minima's entry at k: the least mask
@@ -242,8 +225,6 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
     n = graph.n
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    if table is not None:
-        _check_table(graph, table)
     if k == 0:
         return ()
     if k == n:
@@ -253,7 +234,7 @@ def max_kvc(graph, k, mode="exact", restarts=10, seed=0, *, table=None):
         if math.comb(n, k) > KVC_BUDGET:
             raise ValueError(f"C({n},{k}) exceeds the exact budget {KVC_BUDGET}")
         if n <= DP_MAX_VERTICES:
-            mask = _popcount_minima(inside_weight_table(graph) if table is None else table, n, [k])[1][0]
+            mask = _popcount_minima(inside_weight_table(graph), n, [k])[1][0]
             return tuple(b for b in range(n) if mask >> b & 1)
     elif mode != "local-search":
         raise ValueError(f"unknown mode {mode!r}")

@@ -19,7 +19,6 @@ from minsumvc import (
     figure1_config,
     load_graph,
     load_hardness_config,
-    msvc_exact_dp,
     random_affine_instance,
     random_weighted_graph,
     save_graph,
@@ -30,6 +29,7 @@ from minsumvc import (
 from minsumvc import cli, gaussian, hardness
 from minsumvc import graph as graph_module
 from minsumvc.cli import main
+from minsumvc.solvers import _exact_dp_in_place
 
 from _oracles import inside_weight_table_loop
 
@@ -74,7 +74,7 @@ def test_solve_exact_manifest_names_the_dp_table(tmp_path, capsys):
         save_graph(graph, path)
         code, out, err = run_cli(capsys, "solve", "--method", "exact", "--input", str(path))
         assert code == 0
-        ref = msvc_exact_dp(graph, table=inside_weight_table_loop(graph))
+        ref = _exact_dp_in_place(graph, inside_weight_table_loop(graph))
         expected = {"value": ref.value, "ordering": list(ref.ordering), "method": "exact-dp"}
         assert out == json.dumps(expected, indent=2) + "\n"
         size = np.dtype(dtype).itemsize << 12
@@ -399,17 +399,42 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+_GRAPH, _CONFIG = ("msvc-graph 1",), ("msvc-hardness 1",)
+_REDUCE = ("msvc-ug 1", "msvc-labels 1", "msvc-graph 1")
+# every parser: its words, whether it runs a command, the format lines its epilog shows
+_PARSERS = [
+    ((), False, ()),
+    (("gaussian",), False, ()),
+    (("gaussian", "gamma"), True, ()),
+    (("gaussian", "integral"), True, ()),
+    (("solve",), True, _GRAPH),
+    (("hardness",), False, ()),
+    (("hardness", "single"), True, ()),
+    (("hardness", "composite"), True, _CONFIG),
+    (("hardness", "optimize"), True, _CONFIG),
+    (("reduce",), False, _REDUCE),
+    (("reduce", "build"), True, _REDUCE),
+    (("reduce", "verify"), True, _REDUCE),
+    (("reduce", "order"), True, _REDUCE),
+    (("unweight",), True, _GRAPH),
+    (("regular",), False, ()),
+    (("regular", "ratio"), True, ()),
+    (("regular", "counterexample"), True, ()),
+]
+
+
 def test_help_epilog_documents_formats(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "msvc-graph 1" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["reduce", "build", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "msvc-ug 1" in out and "msvc-labels 1" in out
+    # parsed without main, whose reduce shorthand would read "reduce --help"
+    # as "reduce build --help"
+    for words, leaf, formats in _PARSERS:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([*words, "--help"])
+        assert exc.value.code == 0, words
+        out = capsys.readouterr().out
+        assert {line for line in _REDUCE + _CONFIG if line in out} == set(formats), words
+        options = out.split("\noptions:\n")[1].split("\n\n")[0]
+        last = [line for line in options.splitlines() if line.startswith("  -")][-1]
+        assert last.startswith("  --format {json,csv}") == leaf, words
 
 
 def test_stdout_bit_reproducible(capsys):

@@ -357,15 +357,17 @@ def test_coverage_bound_applicable_on_counterexample():
     assert rep.holds
 
 
-def test_coverage_bound_supplied_value_path():
+def test_coverage_bound_at_scale_two_and_off_the_target():
     g = counterexample_graph(CounterexampleParams.from_fraction(1, 10, 2))
-    rep = coverage_bound_check(g, 0.01, msvc_value=114.0)
+    rep = coverage_bound_check(g, 0.01)
     assert rep.applicable
+    assert rep.msvc_value == 114.0
     assert rep.best_half_coverage == pytest.approx(18.0)
     assert rep.coverage_target == pytest.approx(18.0)
     assert rep.holds
-    wrong = coverage_bound_check(g, 0.01, msvc_value=200.0)
-    assert not wrong.applicable and "normalized value" in wrong.reason
+    # K_10 sits at 0.366667, not at 1/4 + 0.01 within 1/n
+    wrong = coverage_bound_check(complete_graph(10), 0.01)
+    assert not wrong.applicable and "normalized value 0.366667 is not 1/4 + delta" in wrong.reason
 
 
 def test_coverage_bound_not_applicable_cases():
@@ -384,6 +386,8 @@ def test_coverage_bound_error_paths():
         coverage_bound_check(star_graph(3), 0.01)
     with pytest.raises(ValueError, match="even"):
         coverage_bound_check(complete_graph(3), 0.01)
+    # n = 28: past the exact solver's 24 vertices, with no way round it
     big = counterexample_graph(CounterexampleParams.from_fraction(1, 7))
-    with pytest.raises(ValueError, match="msvc_value"):
+    with pytest.raises(ValueError, match=r"n <= 24 vertices, got 28") as err:
         coverage_bound_check(big, 0.02)
+    assert "msvc_value" not in str(err.value)

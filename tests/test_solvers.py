@@ -193,13 +193,11 @@ def test_dp_matches_layered_dp_on_a_cubic_graph():
     assert (res.value, res.ordering.perm) == msvc_exact_dp_layered(g)
 
 
-def test_dp_leaves_a_shared_table_intact():
-    for g in (random_weighted_graph(13, 0.5, 8), random_regular_graph(16, 3, 2)):
-        table = inside_weight_table(g)
-        before = table.copy()
-        res = msvc_exact_dp(g, table=table)
-        assert np.array_equal(table.view(np.uint64), before.view(np.uint64))
-        assert (res.value, res.ordering.perm) == _dp_reference(g)
+def _kvc_from_table(table, n, k):
+    """The exact Max-k-VC subset that max_kvc reads from the graph's own
+    table, read from the given one."""
+    mask = solvers._popcount_minima(table, n, [k])[1][0]
+    return tuple(b for b in range(n) if mask >> b & 1)
 
 
 def test_max_kvc_table_blocks_break_ties_like_the_mask_scan(monkeypatch):
@@ -213,7 +211,7 @@ def test_max_kvc_table_blocks_break_ties_like_the_mask_scan(monkeypatch):
             expected = [max_kvc_masks(h, k) for k in range(n + 1)]
             for lo in range(1, n + 1):
                 monkeypatch.setattr(solvers, "_LOW_BITS", lo)
-                got = [max_kvc(h, k, mode="exact", table=table) for k in range(n + 1)]
+                got = [_kvc_from_table(table, n, k) for k in range(n + 1)]
                 assert got == expected, (n, lo, h.total_weight())
 
 
@@ -240,7 +238,7 @@ def test_exact_solvers_hold_one_table():
             "table": _peak_over_table(lambda: inside_weight_table(g), g.n),
             "dp": _peak_over_table(lambda: msvc_exact_dp(g), g.n),
             "kvc": _peak_over_table(lambda: max_kvc(g, 10, mode="exact"), g.n),
-            "kvc given table": _peak_over_table(lambda: max_kvc(g, 10, mode="exact", table=table), g.n),
+            "kvc given table": _peak_over_table(lambda: _kvc_from_table(table, g.n, 10), g.n),
         }
         assert all(peaks[name] <= bound[name] for name in bound), (table.dtype, peaks)
 
@@ -303,10 +301,10 @@ def _assert_float64_results(g, dtype, label):
     dtype, equal those from the float64 table of the bit-test loop."""
     assert inside_weight_table(g).dtype == dtype, label
     wide = inside_weight_table_loop(g)
-    res, ref = msvc_exact_dp(g), msvc_exact_dp(g, table=wide)
+    res, ref = msvc_exact_dp(g), solvers._exact_dp_in_place(g, wide.copy())
     assert (res.value, res.ordering.perm) == (ref.value, ref.ordering.perm), label
     for k in range(1, g.n):
-        assert max_kvc(g, k, mode="exact") == max_kvc(g, k, mode="exact", table=wide), (label, k)
+        assert max_kvc(g, k, mode="exact") == _kvc_from_table(wide, g.n, k), (label, k)
 
 
 def test_float32_tables_give_the_float64_results():
@@ -341,25 +339,16 @@ def test_uint16_tables_give_the_float64_results():
 
 
 def test_given_tables_are_checked_at_the_boundary():
-    # a short table, or an integer one in another dtype than the graph's
-    # own, which could wrap; float tables of the right size pass
+    # the graph's own uint16 table, the same in float32 and float64, and
+    # the bit-test loop's: one value, ordering and Max-k-VC subset
     g = random_regular_graph(10, 3, 1)
     own = inside_weight_table(g)
     assert own.dtype == np.uint16
-    bad = [own[:-1], np.zeros(1 << 11, own.dtype), own.reshape(32, 32), own.astype(np.int64), own.astype(np.uint32)]
-    for table in bad:
-        with pytest.raises(ValueError, match=r"2\^10 = 1024 entries in uint16"):
-            msvc_exact_dp(g, table=table)
-        with pytest.raises(ValueError, match=r"2\^10 = 1024 entries in uint16"):
-            max_kvc(g, 5, mode="exact", table=table)
-    wide = random_weighted_graph(8, 0.5, 1)
-    with pytest.raises(ValueError, match=r"2\^8 = 256 entries in float64"):
-        max_kvc(wide, 4, mode="exact", table=inside_weight_table(wide).astype(np.uint16))
     ref = msvc_exact_dp(g)
     for table in (own, own.astype(np.float32), own.astype(np.float64), inside_weight_table_loop(g)):
-        res = msvc_exact_dp(g, table=table)
+        res = solvers._exact_dp_in_place(g, table.copy())
         assert (res.value, res.ordering.perm) == (ref.value, ref.ordering.perm), table.dtype
-        assert max_kvc(g, 5, mode="exact", table=table) == max_kvc(g, 5, mode="exact")
+        assert _kvc_from_table(table, g.n, 5) == max_kvc(g, 5, mode="exact")
 
 
 def test_max_kvc_table_row_chunks_break_ties_like_the_mask_scan(monkeypatch):
@@ -373,7 +362,7 @@ def test_max_kvc_table_row_chunks_break_ties_like_the_mask_scan(monkeypatch):
             monkeypatch.setattr(solvers, "_LOW_BITS", 4)
             for rows in (1, 2, 3):
                 monkeypatch.setattr(solvers, "DP_CHUNK", rows << 4)
-                assert [max_kvc(h, k, mode="exact", table=table) for k in range(n + 1)] == expected, (n, rows)
+                assert [_kvc_from_table(table, n, k) for k in range(n + 1)] == expected, (n, rows)
 
 
 def _popcount_cases(sizes):
