@@ -8,7 +8,9 @@ optimize the thread pool size `workers`, the profile pairs `built` and
 taken `from_memo`, and the module `ndtr` came from, and for solve
 --method exact, two-phase where its exact Max-k-VC reads a table, and
 regular counterexample --verify up to n = 24, the 2^n table's `dp_table`
-dtype (uint16, float32 or float64) and bytes) goes to standard error.
+dtype (uint16, float32 or float64) and bytes, for reduce build and reduce
+order --rho the `long_code` blocks and edges, and for reduce build the
+`bytes_written`) goes to standard error.
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
 
@@ -28,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import graph as graph_module
 from . import hardness as hardness_module
-from .graph import _table_dtype, _workers, load_graph, save_graph, svc_value
+from .graph import _table_dtype, _workers, load_graph, save_graph
 from .hardness import (
     composite_ratio,
     figure1_config,
@@ -43,6 +45,7 @@ from .reduction import (
     completeness_ordering,
     load_labels,
     load_ug,
+    long_code_svc,
     verify_reduction,
 )
 from .regular import (
@@ -209,7 +212,7 @@ def _cmd_hardness_optimize(args):
 def _cmd_reduce_build(args):
     inst = load_ug(args.input)
     graph = build_long_code_graph(inst, args.rho)
-    save_graph(graph, args.out)
+    written = save_graph(graph, args.out)
     rep = verify_reduction(graph, inst, args.rho)
     payload = {
         "n": graph.n,
@@ -219,7 +222,8 @@ def _cmd_reduce_build(args):
         "loop_mass_dropped": rep.loop_mass_total,
         "passed": rep.passed,
     }
-    return payload
+    counts = {"blocks": inst.u_count * inst.u_degree**2, "edges": graph.m}
+    return payload, {"long_code": counts, "bytes_written": written}
 
 
 def _cmd_reduce_verify(args):
@@ -234,13 +238,12 @@ def _cmd_reduce_order(args):
     labeling = load_labels(args.labels)
     order = completeness_ordering(inst, labeling)
     payload = {"n": len(order), "ordering": list(order)}
-    if args.rho is not None:
-        graph = build_long_code_graph(inst, args.rho)
-        value = svc_value(graph, order)
-        payload["svc"] = value
-        payload["normalized"] = value / (graph.n * graph.total_weight())
-        payload["completeness_bound"] = 1.0 / (3.0 - args.rho) + 2.0 ** (-inst.alphabet)
-    return payload
+    if args.rho is None:
+        return payload
+    value, total, edges = long_code_svc(inst, args.rho, order)
+    payload.update(svc=value, normalized=value / (len(order) * total),
+                   completeness_bound=1.0 / (3.0 - args.rho) + 2.0 ** (-inst.alphabet))
+    return payload, {"long_code": {"blocks": inst.u_count * inst.u_degree**2, "edges": edges}}
 
 
 def _cmd_unweight(args):

@@ -57,9 +57,10 @@ _TABLE_MAX_BITS = 24
 # not 24); the n-entry arrays of degrees and positions would not fit past it.
 _MAX_VERTICES = 1 << 31
 
-# Rows per chunk: of a table written (a few MB of text at a time), and of
-# the edges whose cover times svc_value gathers.
-_CHUNK_ROWS = 1 << 16
+# Rows per chunk of a table written, of cover times gathered and of edges
+# checked.  save_graph of the L = 8 reduction graph traces 1.5 MiB above
+# the graph (6.2 MiB with 2^16 rows), and it is no slower.
+_CHUNK_ROWS = 1 << 14
 
 
 def _workers():
@@ -261,20 +262,26 @@ class Ordering:
         return f"Ordering({list(self.perm)})"
 
 
-def _positions(graph, ordering):
-    if len(ordering) != graph.n:
+def _positions(n, ordering):
+    if len(ordering) != n:
         raise ValueError("ordering length does not match vertex count")
     return ordering.positions()
 
 
 def cover_times(graph, ordering):
     """1-indexed cover time per edge, aligned with graph.edges order."""
-    pos = _positions(graph, ordering)
     u, v, _ = graph.edge_arrays()
-    times = pos[u]
-    np.minimum(times, pos[v], out=times)
-    times += 1
+    times = np.empty(u.size, np.int64)
+    _cover_times_into(times, _positions(graph.n, ordering), u, v)
     return times
+
+
+def _cover_times_into(times, pos, u, v):
+    """times[i] = min(pos[u[i]], pos[v[i]]) + 1, _CHUNK_ROWS edges at a time."""
+    for lo in range(0, u.size, _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        np.minimum(pos[u[lo:hi]], pos[v[lo:hi]], out=times[lo:hi])
+        times[lo:hi] += 1
 
 
 def svc_value(graph, ordering):
@@ -282,15 +289,12 @@ def svc_value(graph, ordering):
 
     The cover times go into one float64 array, _CHUNK_ROWS edges at a
     time, with no int64 array the length of the edge list: np.dot sees the
-    values it would see over cover_times.
+    values it would see over cover_times.  OpenBLAS splits a long np.dot
+    across its threads, so the last digits depend on their count.
     """
-    pos = _positions(graph, ordering)
     u, v, w = graph.edge_arrays()
     times = np.empty(w.size)
-    for lo in range(0, w.size, _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        np.minimum(pos[u[lo:hi]], pos[v[lo:hi]], out=times[lo:hi])
-        times[lo:hi] += 1
+    _cover_times_into(times, _positions(graph.n, ordering), u, v)
     return float(np.dot(w, times))
 
 
@@ -735,9 +739,9 @@ def _load_records(path, parse):
 
 
 def _save_records(path, chunks):
-    """Write the chunks of _write_records to path, one at a time."""
+    """Write the chunks of _write_records to path, one at a time; return the bytes written."""
     with open(path, "wb") as fh:
-        fh.writelines(chunks)
+        return sum(map(fh.write, chunks))
 
 
 _GRAPH_FORMAT = _RecordFormat(
@@ -766,7 +770,8 @@ def load_graph(path):
 
 
 def save_graph(graph, path):
-    _save_records(path, _write_records(_GRAPH_FORMAT, (graph.n, graph.m), graph.edge_arrays()))
+    """Write the graph to path in the text format; return the bytes written."""
+    return _save_records(path, _write_records(_GRAPH_FORMAT, (graph.n, graph.m), graph.edge_arrays()))
 
 
 # ---------------------------------------------------------------------------

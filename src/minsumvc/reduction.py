@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _CHUNK_ROWS, Ordering, WeightedGraph, _distinct, _first_problem
-from .graph import _load_records, _read_records, _RecordFormat, _save_records, _write_records
+from .graph import _CHUNK_ROWS, Ordering, WeightedGraph, _cover_times_into, _distinct, _first_problem, _positions
+from .graph import _load_records, _read_records, _RecordFormat, _save_records, _vertex_count, _write_records
 
 UG_MAGIC = "msvc-ug 1"
 LABELS_MAGIC = "msvc-labels 1"
@@ -149,53 +149,76 @@ def _rotate(codes, shift, L):
     return ((codes << shift) | (codes >> (L - shift))) & mask
 
 
-def _edges_by_u(instance):
-    out = [[] for _ in range(instance.u_count)]
+def _block_pairs(instance):
+    """(v1, c1, v2, c2) per (u, e1, e2) block: u ascending, then e1 and e2 in input order."""
+    by_u = [[] for _ in range(instance.u_count)]
     for u, v, c in instance.edges:
-        out[u].append((v, c))
-    return out
+        by_u[u].append((v, c))
+    return [(v1, c1, v2, c2) for edges in by_u for v1, c1 in edges for v2, c2 in edges]
 
 
-def build_long_code_graph(instance, rho):
-    """The weighted reduction graph on v_count * 2^L vertices."""
+def _long_code_blocks(instance, rho):
+    """(m, blocks): the reduction graph's edge count, and an iterator over the
+    (u, v, w) of its blocks in edge order, int32 ids, self-loops dropped.
+
+    The alphabet, rho and the vertex count are checked before anything is allocated.
+    """
     L = instance.alphabet
     if L > LONG_CODE_MAX_ALPHABET:
         raise ValueError(f"alphabet limited to {LONG_CODE_MAX_ALPHABET}, got {L}")
     if not -1.0 < rho < 0.0:
         raise ValueError(f"rho must lie in (-1, 0), got {rho}")
-    size = 1 << L
-    n = instance.v_count * size
-    pw = _pair_weights(rho, L)
-    codes = np.arange(size, dtype=np.int64)
-    blocks = [(v1, c1, v2, c2) for pairs in _edges_by_u(instance) for v1, c1 in pairs for v2, c2 in pairs]
-    # a block keeps all size^2 code pairs but the size self-loops of v1 == v2
-    m = sum(size * size - size * (v1 == v2) for v1, _, v2, _ in blocks)
+    _vertex_count(instance.v_count << L)
+    size, pw, pairs = 1 << L, _pair_weights(rho, L), _block_pairs(instance)
+    codes = np.arange(size, dtype=np.int32)
+    off_diagonal = ~np.eye(size, dtype=bool).ravel()  # all but a v1 == v2 block's self-loops
+
+    def block(v1, c1, v2, c2):
+        keep = off_diagonal if v1 == v2 else slice(None)
+        w = pw[np.bitwise_count(np.bitwise_xor.outer(_rotate(codes, c1, L), _rotate(codes, c2, L)).ravel())][keep]
+        return np.repeat(v1 * size + codes, size)[keep], np.tile(v2 * size + codes, size)[keep], w
+
+    return sum(size * size - size * (v1 == v2) for v1, _, v2, _ in pairs), (block(*p) for p in pairs)
+
+
+def build_long_code_graph(instance, rho):
+    """The weighted reduction graph on v_count * 2^L vertices; its arrays,
+    allocated once, are filled from _long_code_blocks a block at a time."""
+    m, blocks = _long_code_blocks(instance, rho)
     u, v, w = np.empty(m, np.int32), np.empty(m, np.int32), np.empty(m)
     end = 0
-    for v1, c1, v2, c2 in blocks:
-        weight = pw[np.bitwise_count(_rotate(codes, c1, L)[:, None] ^ _rotate(codes, c2, L)[None, :])]
-        ids1 = np.broadcast_to((v1 * size + codes)[:, None], (size, size))
-        ids2 = np.broadcast_to((v2 * size + codes)[None, :], (size, size))
-        keep = ids1 != ids2
-        start, end = end, end + np.count_nonzero(keep)
-        u[start:end], v[start:end], w[start:end] = ids1[keep], ids2[keep], weight[keep]
-    return WeightedGraph.from_arrays(n, u, v, w)
+    for bu, bv, bw in blocks:
+        start, end = end, end + bw.size
+        u[start:end], v[start:end], w[start:end] = bu, bv, bw
+        del bu, bv, bw  # before the next block is built
+    return WeightedGraph.from_arrays(instance.v_count << instance.alphabet, u, v, w)
+
+
+def long_code_svc(instance, rho, ordering):
+    """(svc, total weight, m) of the reduction graph under an ordering, without the graph:
+    only its weights and float64 cover times, filled a block at a time, so svc and the
+    total have the bits of svc_value and total_weight() on the graph."""
+    m, blocks = _long_code_blocks(instance, rho)
+    pos = _positions(instance.v_count << instance.alphabet, ordering)
+    w, times = np.empty(m), np.empty(m)
+    end = 0
+    for bu, bv, bw in blocks:
+        start, end = end, end + bw.size
+        w[start:end] = bw
+        _cover_times_into(times[start:end], pos, bu, bv)
+        del bu, bv, bw  # before the next block is built
+    return float(np.dot(w, times)), float(w.sum()), m
 
 
 def _loop_mass(instance, rho):
     """Per-vertex mass of the dropped self-loop pairs, indexed by vertex id."""
     L = instance.alphabet
-    size = 1 << L
-    pw = _pair_weights(rho, L)
+    size, pw = 1 << L, _pair_weights(rho, L)
     codes = np.arange(size, dtype=np.int64)
     out = np.zeros(instance.v_count * size)
-    for pairs in _edges_by_u(instance):
-        for v1, c1 in pairs:
-            for v2, c2 in pairs:
-                if v1 != v2:
-                    continue
-                mass = pw[np.bitwise_count(_rotate(codes, c1, L) ^ _rotate(codes, c2, L))]
-                np.add.at(out, v1 * size + codes, mass)
+    for v1, c1, v2, c2 in _block_pairs(instance):
+        if v1 == v2:
+            out[v1 * size : (v1 + 1) * size] += pw[np.bitwise_count(_rotate(codes, c1, L) ^ _rotate(codes, c2, L))]
     return out
 
 

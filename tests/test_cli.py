@@ -25,6 +25,7 @@ from minsumvc import (
     save_hardness_config,
     save_labels,
     save_ug,
+    write_graph,
 )
 from minsumvc import cli, gaussian, hardness
 from minsumvc import graph as graph_module
@@ -223,6 +224,31 @@ def test_reduce_build_verify_order_round_trip(tmp_path, capsys):
     order_payload = json.loads(out)
     assert sorted(order_payload["ordering"]) == list(range(12))
     assert order_payload["normalized"] <= order_payload["completeness_bound"] + 1e-9
+
+
+def test_reduce_manifests_count_long_code_blocks_edges_and_bytes(tmp_path, capsys):
+    inst, lab = random_affine_instance(3, 3, 2, seed=4)
+    ug_path, labels_path, graph_path = tmp_path / "inst.ug", tmp_path / "inst.labels", tmp_path / "red.graph"
+    save_ug(inst, ug_path)
+    save_labels(lab, labels_path)
+    graph = build_long_code_graph(inst, -0.5)
+    # 3 U vertices of degree 2: 12 (u, e1, e2) blocks of 64 code pairs, less 8 loops in each with v1 = v2
+    same_v = sum(u1 == u2 and v1 == v2 for u1, v1, _ in inst.edges for u2, v2, _ in inst.edges)
+    counts = {"blocks": 12, "edges": 12 * 64 - 8 * same_v}
+    assert graph.m == counts["edges"]
+
+    code, out, err = run_cli(capsys, "reduce", "build", "--input", str(ug_path), "--rho", "-0.5", "--out", str(graph_path))
+    manifest = manifest_of(err)
+    assert code == 0 and json.loads(out)["m"] == graph.m
+    assert manifest["long_code"] == counts
+    assert manifest["bytes_written"] == graph_path.stat().st_size == len(write_graph(graph))
+
+    order = ["reduce", "order", "--input", str(ug_path), "--labels", str(labels_path)]
+    code, out, err = run_cli(capsys, *order, "--rho", "-0.5")
+    assert code == 0 and "svc" in json.loads(out)
+    assert manifest_of(err)["long_code"] == counts
+    code, out, err = run_cli(capsys, *order)
+    assert code == 0 and "long_code" not in manifest_of(err)
 
 
 def test_reduce_verify_against_another_instance_exits_one(tmp_path, capsys):

@@ -77,8 +77,8 @@ def test_weighted_cover_times():
 
 
 def test_svc_value_is_the_dot_of_float_cover_times():
-    # svc_value gathers cover times in chunks of 2^16 edges; 150,001 edges
-    # end in a partial third chunk
+    # svc_value gathers cover times in chunks of 2^14 edges; 150,001 edges
+    # end in a partial tenth chunk
     rng = np.random.default_rng(11)
     n, m = 700, 150_001
     u = rng.integers(0, n, m)

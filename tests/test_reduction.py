@@ -1,6 +1,7 @@
 """Long-code reduction: construction, verification, completeness ordering."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from minsumvc import (
     LABELS_MAGIC,
     UG_MAGIC,
     AffineUGInstance,
+    Ordering,
     UGFormatError,
     UGLabeling,
     WeightedGraph,
@@ -25,6 +27,7 @@ from minsumvc import (
     ug_value,
     verify_reduction,
 )
+from minsumvc.reduction import long_code_svc
 
 SMALL = AffineUGInstance(2, 2, 2, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)))
 
@@ -98,6 +101,65 @@ def test_build_shapes_and_weight_values():
         build_long_code_graph(SMALL, -1.0)
     with pytest.raises(ValueError):
         build_long_code_graph(AffineUGInstance(15, 1, 1, ((0, 0, 0),)), -0.5)
+
+
+def _per_pair_graph(instance, rho):
+    """The reduction graph's (u, v, w) lists, one code pair (x, y) of one (u, e1, e2) triple at a time."""
+    L, size = instance.alphabet, 1 << instance.alphabet
+    by_u = [[(v, c) for u, v, c in instance.edges if u == k] for k in range(instance.u_count)]
+
+    def rotate(x, c):
+        return ((x << c) | (x >> (L - c))) & (size - 1) if c else x
+
+    u, v, w = [], [], []
+    for edges in by_u:
+        for v1, c1 in edges:
+            for v2, c2 in edges:
+                for x in range(size):
+                    for y in range(size):
+                        if v1 == v2 and x == y:
+                            continue
+                        d = bin(rotate(x, c1) ^ rotate(y, c2)).count("1")
+                        u.append(v1 * size + x)
+                        v.append(v2 * size + y)
+                        w.append(((1.0 + rho) / 4.0) ** (L - d) * ((1.0 - rho) / 4.0) ** d)
+    return u, v, w
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_build_and_the_streamed_order_path_equal_direct_constructions_bit_for_bit(L):
+    inst, lab = random_affine_instance(L, 3, 2, seed=L, satisfiable=L % 2 == 0)
+    order = completeness_ordering(inst, lab)
+    for rho in (-0.25, -0.52, -0.75):
+        g = build_long_code_graph(inst, rho)
+        u, v, w = g.edge_arrays()
+        assert (u.tolist(), v.tolist(), w.tolist()) == _per_pair_graph(inst, rho)
+        svc, total, m = long_code_svc(inst, rho, order)
+        assert (svc, total, m) == (svc_value(g, order), g.total_weight(), g.m)
+        assert svc / (len(order) * total) == svc_value(g, order) / (g.n * g.total_weight())
+
+
+def test_an_alphabet_past_the_limit_raises_before_any_allocation():
+    wide = AffineUGInstance(15, 1, 1, ((0, 0, 0),))
+    calls = (
+        lambda: build_long_code_graph(wide, -0.5),
+        lambda: long_code_svc(wide, -0.5, Ordering([0])),
+        lambda: long_code_svc(SMALL, 0.0, Ordering(range(8))),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="alphabet limited to 14|rho must lie"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+def test_the_order_path_checks_the_ordering_length():
+    with pytest.raises(ValueError, match="ordering length"):
+        long_code_svc(SMALL, -0.5, Ordering(range(7)))
 
 
 def test_total_weight_closed_form():
