@@ -42,6 +42,7 @@ from .graph import (
 )
 from .hardness import (
     CONFIG_MAGIC,
+    CompositeLimit,
     ConfigFormatError,
     CoverProfile,
     HardnessConfig,
@@ -49,6 +50,7 @@ from .hardness import (
     RatioReport,
     completeness_limit,
     completeness_profile,
+    composite_limit,
     composite_ratio,
     figure1_config,
     format_hardness_config,

@@ -32,6 +32,7 @@ from . import graph as graph_module
 from . import hardness as hardness_module
 from .graph import _table_dtype, _workers, load_graph, save_graph
 from .hardness import (
+    composite_limit,
     composite_ratio,
     figure1_config,
     load_hardness_config,
@@ -183,6 +184,8 @@ def _copula_entries(before):
 def _cmd_hardness_composite(args):
     cfg = _config(args)
     before = _memo_counts()
+    if args.limit:
+        return {"k": cfg.k, **_fields(composite_limit(cfg))}, _copula_entries(before)
     rep = composite_ratio(cfg, steps=args.steps)
     payload = {
         "k": cfg.k,
@@ -370,7 +373,13 @@ def build_parser():
         hsub, "composite", _cmd_hardness_composite, "scheduled ratio over a weighted family", CONFIG_FORMAT_HELP
     )
     hc.add_argument("--config", metavar="FILE", help="defaults to the bundled 60-pair family")
-    hc.add_argument("--steps", type=int, default=100_000)
+    steps = hc.add_mutually_exclusive_group()
+    steps.add_argument("--steps", type=int, default=100_000)
+    steps.add_argument(
+        "--limit",
+        action="store_true",
+        help="print the steps -> infinity limit, at 2^12 steps per graph, with its refinement gap and concavity",
+    )
     ho = _command(
         hsub, "optimize", _cmd_hardness_optimize, "refine a family by coordinate and gradient steps", CONFIG_FORMAT_HELP
     )

@@ -40,13 +40,15 @@ import threading
 
 import numpy as np
 
+from .graph import _mapped_zeros
+
 SQRT2 = math.sqrt(2.0)
 SQRT_TAU = math.sqrt(2.0 * math.pi)
 
 # Truncation radius for normal tails; Phi(-8) ~ 6.2e-16.
 Z_CUT = 8.0
 
-_BLOCK = 512  # quadrature columns per slab in _copula_quad
+_BLOCK = 128  # quadrature columns per slab in _copula_quad
 _GRID_NODES = 160  # Gauss-Legendre nodes per window in copula_diag_grid
 
 # The compiled module that defines scipy.special.ndtr.
@@ -214,15 +216,14 @@ def _copula_quad(rho, bx, by, n_nodes):
     # slabs of _BLOCK columns, the last up to twice as wide (a last slab of
     # 1-3 columns moved the product's last bits): each column gets the
     # operations and the bits of one n_nodes x N slab, without its size.
-    # Three buffers sized for the widest slab hold each slab's values in
-    # turn, every operation writing in place.  Three arrays, not one of
-    # three rows: with one 3.9 MB block, the benchmark's hardness_solve pass
-    # in one process held 12 MB more after `hardness composite` and peaked
-    # at 108 MB against 98 MB, as freeing the block raises glibc's mmap
-    # threshold and the pool threads' heaps then keep the later blocks.
+    # Slab widths of 32 to 512 columns give the same bits.  Three buffers
+    # sized for the widest slab hold each slab's values in turn, every
+    # operation writing in place.  Each is mapped apart from the heap
+    # (_mapped_zeros), so its pages leave the process when the call returns
+    # and raise no heap threshold for the 2^n tables that follow.
     stops = [*range(_BLOCK, bx.size - _BLOCK + 1, _BLOCK), bx.size]
     slabs = list(zip([0, *stops], stops))
-    bufs = [np.empty(n_nodes * max(hi - lo for lo, hi in slabs)) for _ in range(3)]
+    bufs = [_mapped_zeros(n_nodes * max(hi - lo for lo, hi in slabs), np.float64) for _ in range(3)]
     for lo, hi in slabs:
         z, e, a = (buf[: n_nodes * (hi - lo)].reshape(n_nodes, -1) for buf in bufs)
         np.multiply(half[lo:hi], t[:, None], out=z)

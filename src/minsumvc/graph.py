@@ -58,9 +58,19 @@ _TABLE_MAX_BITS = 24
 _MAX_VERTICES = 1 << 31
 
 # Rows per chunk of a table written, of cover times gathered and of edges
-# checked.  save_graph of the L = 8 reduction graph traces 1.5 MiB above
-# the graph (6.2 MiB with 2^16 rows), and it is no slower.
-_CHUNK_ROWS = 1 << 14
+# checked.  save_graph of the L = 8 reduction graph traces 0.78 MiB above
+# the graph (1.5 MiB with 2^14 rows, 6.2 MiB with 2^16), in 8% more time
+# than with 2^14 rows; its chunks set the peak RSS of `reduce build`.
+_CHUNK_ROWS = 1 << 13
+
+# Arrays of fewer bytes come from the heap: below this a mapping and its
+# unmapping cost more than the pages they hand back (a one-column copula
+# slab is 768 bytes to 3 KiB).
+_MAPPED_MIN_BYTES = 1 << 16
+
+# numpy asks for transparent huge pages for arrays from 4 MiB up, and so
+# does _mapped_zeros: in 4 KiB pages an 8 MiB table faults in 2 ms more.
+_HUGE_PAGE_MIN_BYTES = 1 << 22
 
 
 def _workers():
@@ -78,6 +88,32 @@ def _parallel_map(fn, items):
         return list(map(fn, items))
     with ThreadPoolExecutor(_workers()) as pool:
         return list(pool.map(fn, items))
+
+
+def _mapped_zeros(count, dtype):
+    """np.zeros(count, dtype), held in a private anonymous mapping of its
+    own from _MAPPED_MIN_BYTES up (its .base is the mmap.mmap).
+
+    The pages leave the process when the array and its views die,
+    whatever glibc's dynamic mmap threshold has become.  A freed 8 MB
+    table raises that threshold, and a heap array of that size then comes
+    from the brk heap and stays resident after its call.
+    """
+    # imported here, so that the commands that map nothing (reduce,
+    # unweight) do not load the extension: 40 KiB of their peak RSS
+    import mmap
+
+    dtype = np.dtype(dtype)
+    nbytes = count * dtype.itemsize
+    if nbytes < _MAPPED_MIN_BYTES:
+        return np.zeros(count, dtype)
+    buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if nbytes >= _HUGE_PAGE_MIN_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            buffer.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:  # a kernel built without transparent huge pages
+            pass
+    return np.ndarray(count, dtype, buffer=buffer)
 
 
 def _distinct(values):
@@ -302,18 +338,19 @@ def inside_weight_table(graph):
     """table[mask] = total weight of edges with both endpoints in mask.
 
     Size 2^n, and no other array of that order: each vertex's sums are
-    built in the table's own still-zero slots.  Refuses for n above the
-    bitmask limit.  In the dtype of _table_dtype(graph): with integer
-    weights every entry and every sum of the exact DP is an integer of at
-    most (n + 1) W(V, V), which uint16 or float32 holds exactly, so each
-    add and min gives the float64 result.
+    built in the table's own still-zero slots, which _mapped_zeros maps
+    apart from the heap.  Refuses for n above the bitmask limit.  In the
+    dtype of _table_dtype(graph): with integer weights every entry and
+    every sum of the exact DP is an integer of at most (n + 1) W(V, V),
+    which uint16 or float32 holds exactly, so each add and min gives the
+    float64 result.
     """
     n = graph.n
     if n > _TABLE_MAX_BITS:
         raise ValueError(f"bitmask table limited to n <= {_TABLE_MAX_BITS}")
     dtype = _table_dtype(graph)
     a = graph.weight_matrix().astype(dtype)
-    table = np.zeros(1 << n, dtype)
+    table = _mapped_zeros(1 << n, dtype)
     for v in range(n - 1, -1, -1):
         # the masks with lowest bit v, still zero; cross[i] = weight from v
         # into the set i << (v + 1), summed by doubling: the sets with top

@@ -1,4 +1,5 @@
-"""Independent reference implementations that the test modules check against.
+"""Independent reference implementations that the test modules check against,
+and the memory peak they measure calls by.
 
 Not a test module (pytest collects only test_*.py); the tests import it by
 name from this directory.
@@ -6,12 +7,15 @@ name from this directory.
 
 import io
 import math
+import mmap
+import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from minsumvc import Ordering, SolveResult, WeightedGraph, inside_weight_table, svc_value
+from minsumvc import graph as graph_module
 
 # Exhaustive subset enumeration refuses above this many subsets.
 SUBSET_BUDGET = 10**7
@@ -19,6 +23,35 @@ SUBSET_BUDGET = 10**7
 # Above this, min_subset_density prefers plain subset enumeration to a
 # full 2^n table.
 _DENSITY_BITMASK_BITS = 22
+
+
+def peak_bytes(fn):
+    """Bytes fn() held at its peak: tracemalloc's heap peak plus every
+    mapping graph._mapped_zeros made during the call.
+
+    tracemalloc sees no mapping, so without the second term a 2^n table
+    would drop out of the measure.  Each mapping counts for the whole call,
+    which overstates the peak where one dies before the next is made, and
+    never hides one.
+    """
+    mapped = []
+    made = graph_module._mapped_zeros
+
+    def counted(count, dtype):
+        array = made(count, dtype)
+        if isinstance(array.base, mmap.mmap):
+            mapped.append(array.nbytes)
+        return array
+
+    graph_module._mapped_zeros = counted
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        graph_module._mapped_zeros = made
+    return peak + sum(mapped)
 
 
 def svc_value_suffix(graph, ordering):

@@ -168,6 +168,22 @@ def test_hardness_composite_with_config(tmp_path, capsys):
     assert manifest_of(err)["subcommand"] == "hardness composite"
 
 
+def test_hardness_composite_limit(capsys):
+    code, out, err = run_cli(capsys, "hardness", "composite", "--limit")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "k", "g", "completeness_value", "soundness_value", "limit", "refinement_gap", "concavity", "concave"
+    ]
+    assert payload["limit"] == hardness.composite_limit(figure1_config()).limit >= 1.0748
+    assert payload["refinement_gap"] < 1e-7 and payload["concave"] is True
+    assert manifest_of(err)["parameters"]["limit"] is True
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["hardness", "composite", "--help"])
+    options = capsys.readouterr().out.split("\noptions:\n")[1]
+    assert options.index("--steps") < options.index("--limit") < options.index("--format")
+
+
 def test_hardness_optimize_writes_config(tmp_path, capsys):
     cfg_path = tmp_path / "seed.cfg"
     out_path = tmp_path / "opt.cfg"
@@ -422,6 +438,10 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["hardness"])
+    assert exc.value.code == 2
+    # the limit has its own step count
+    with pytest.raises(SystemExit) as exc:
+        main(["hardness", "composite", "--limit", "--steps", "5000"])
     assert exc.value.code == 2
 
 

@@ -175,7 +175,7 @@ def _diag_grid_one_shot(rho, r, n_nodes=160):
 
 
 def test_diag_grid_blocks_match_one_shot_bits():
-    # 4095 interior points: six 512-column slabs and a last one of 1023;
+    # 4095 interior points: thirty 128-column slabs and a last one of 255;
     # 513 and 1025 points would leave a last slab of one column.  Both the
     # integral's and the soundness profile's orientation of the grid.
     for size in (4097, 515, 1027):
@@ -183,6 +183,18 @@ def test_diag_grid_blocks_match_one_shot_bits():
         for rho in (-0.999, -0.9, -0.52, -0.1):
             for r in (t, 1.0 - t):
                 assert np.array_equal(copula_diag_grid(rho, r), _diag_grid_one_shot(rho, r))
+
+
+def test_diag_grid_bits_do_not_depend_on_the_slab_width(monkeypatch):
+    # figure 1's 50 distinct rho on the soundness profiles' g = 12 grid
+    rhos = sorted(set(minsumvc.figure1_config().rhos.tolist()))
+    assert len(rhos) == 50 and gaussian._BLOCK == 128
+    r = 1.0 - np.linspace(0.0, 1.0, 4097)
+    default = [copula_diag_grid(rho, r) for rho in rhos]
+    for block in (32, 64, 256, 512):
+        monkeypatch.setattr(gaussian, "_BLOCK", block)
+        for rho, expected in zip(rhos, default):
+            assert np.array_equal(copula_diag_grid(rho, r), expected), (block, rho)
 
 
 def test_diag_integral_closed_form():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import mmap
 from fractions import Fraction
 import sys
 import threading
@@ -77,8 +78,8 @@ def test_weighted_cover_times():
 
 
 def test_svc_value_is_the_dot_of_float_cover_times():
-    # svc_value gathers cover times in chunks of 2^14 edges; 150,001 edges
-    # end in a partial tenth chunk
+    # svc_value gathers cover times in chunks of 2^13 edges; 150,001 edges
+    # end in a partial nineteenth chunk
     rng = np.random.default_rng(11)
     n, m = 700, 150_001
     u = rng.integers(0, n, m)
@@ -257,6 +258,16 @@ def test_inside_weight_table_is_float32_while_integer_sums_fit_in_24_bits():
         assert np.array_equal(table.astype(np.float64, copy=False), inside_weight_table_loop(g))
     assert inside_weight_table(at_bound)[-1] == 1 << 22
     assert inside_weight_table(at_16)[-1] == 4681 and inside_weight_table(over_16)[-1] == 4096
+
+
+def test_inside_weight_table_is_mapped_apart_from_the_heap():
+    # 2^16 uint16 entries, 128 KiB, are mapped; a 4-vertex table is 32 bytes
+    # of heap, where a mapping would cost more than it hands back
+    table = inside_weight_table(random_regular_graph(16, 3, 0))
+    assert table.nbytes == 1 << 17 and isinstance(table.base, mmap.mmap)
+    assert inside_weight_table(complete_graph(4)).base is None
+    zeros = graph_module._mapped_zeros(graph_module._MAPPED_MIN_BYTES // 8, np.float64)
+    assert isinstance(zeros.base, mmap.mmap) and zeros.flags.writeable and not zeros.any()
 
 
 def test_parallel_map_runs_short_lists_without_a_pool(monkeypatch):

@@ -13,6 +13,7 @@ from minsumvc import (
     OptimizeResult,
     completeness_limit,
     completeness_profile,
+    composite_limit,
     composite_ratio,
     copula_diag_integral,
     figure1_config,
@@ -273,6 +274,37 @@ def test_composite_ratio_is_stable_under_step_doubling():
     a = composite_ratio(cfg, steps=20000).ratio
     b = composite_ratio(cfg, steps=40000).ratio
     assert abs(a - b) <= 2e-3
+
+
+@pytest.fixture(scope="module")
+def figure1_limit():
+    return composite_limit(figure1_config())
+
+
+def test_composite_limit_reaches_1_0748_on_concave_profiles(figure1_limit, monkeypatch):
+    assert figure1_limit.g == 12
+    assert figure1_limit.limit >= 1.0748
+    assert figure1_limit.refinement_gap < 1e-7
+    # 1.5e-12 measured, on the completeness side
+    assert figure1_limit.concave and 0.0 < figure1_limit.concavity <= hardness.CONCAVITY_TOL
+    monkeypatch.setattr(hardness, "CONCAVITY_TOL", 0.0)
+    assert not composite_limit(figure1_config()).concave
+
+
+def test_composite_limit_is_composite_ratio_at_k_times_2_to_the_g_steps(figure1_limit):
+    cfg = figure1_config()
+    rep = composite_ratio(cfg, steps=cfg.k << 12)
+    assert rep.steps_per_graph == 1 << 12
+    assert figure1_limit.limit == rep.ratio
+    assert (figure1_limit.completeness_value, figure1_limit.soundness_value) == (
+        rep.completeness_value, rep.soundness_value)
+
+
+def test_composite_limit_does_not_move_with_twice_the_steps(figure1_limit):
+    # the profiles are linear between nodes, so 2^13 steps per graph on the
+    # 2^12 + 1 nodes split each whole segment in two equal gains
+    cfg = figure1_config()
+    assert abs(composite_ratio(cfg, steps=cfg.k << 13).ratio - figure1_limit.limit) <= 1e-11
 
 
 def test_greedy_schedule_matches_step_loop_on_figure_profiles():

@@ -1,7 +1,6 @@
 """Two-phase ratio analysis and the regular-graph counterexample family."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from minsumvc import (
 )
 from minsumvc import regular, solvers
 
-from _oracles import optimize_two_phase_grid
+from _oracles import optimize_two_phase_grid, peak_bytes
 
 
 def _second_branch(delta, alpha):
@@ -337,13 +336,7 @@ def test_counterexample_checks_hold_one_table():
     graph = counterexample_graph(params)
     assert params.n == 20
     for check in (lambda: verify_counterexample(params), lambda: coverage_bound_check(graph, params.delta)):
-        tracemalloc.start()
-        try:
-            check()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (8 << params.n) <= 0.31
+        assert peak_bytes(check) / (8 << params.n) <= 0.31
 
 
 def test_coverage_bound_applicable_on_counterexample():

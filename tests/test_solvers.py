@@ -1,10 +1,12 @@
 """Exact DP against brute force, approximation bands, Max-k-VC."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
-import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from minsumvc import (
     svc_value,
     verify_counterexample,
 )
+import minsumvc
 from minsumvc import regular, solvers
 from minsumvc.graph import inside_weight_table
 
@@ -41,6 +44,7 @@ from _oracles import (
     max_kvc_masks,
     msvc_exact_dp_layered,
     msvc_random,
+    peak_bytes,
     popcount_minima_scan,
 )
 
@@ -216,14 +220,8 @@ def test_max_kvc_table_blocks_break_ties_like_the_mask_scan(monkeypatch):
 
 
 def _peak_over_table(fn, n):
-    """tracemalloc peak of fn() in units of one 2^n float table."""
-    tracemalloc.start()
-    try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / (8 << n)
+    """Peak bytes of fn(), mapped tables included, in units of one 2^n float table."""
+    return peak_bytes(fn) / (8 << n)
 
 
 def test_exact_solvers_hold_one_table():
@@ -244,12 +242,7 @@ def test_exact_solvers_hold_one_table():
 
 
 def _dp_peak_beyond_table(g, table):
-    tracemalloc.start()
-    try:
-        solvers._exact_dp_in_place(g, table)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(lambda: solvers._exact_dp_in_place(g, table))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -267,6 +260,34 @@ def test_dp_tasks_allocate_nothing_beyond_the_scratch(monkeypatch, workers):
     # a 4-vertex graph sizes its scratch by its one task of one row
     small = complete_graph(4)
     assert _dp_peak_beyond_table(small, inside_weight_table(small)) < 64 << 10
+
+
+_RSS_CHILD = """
+import mmap, sys
+sys.path.insert(0, {src!r})
+from minsumvc import msvc_exact_dp, msvc_two_phase, random_regular_graph
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * mmap.PAGESIZE
+
+g = random_regular_graph(22, 3, 0)
+msvc_exact_dp(g)
+after_dp = rss()
+msvc_two_phase(g, seed=0)
+print(rss() - after_dp)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads resident pages from Linux's /proc")
+def test_a_freed_table_leaves_the_process():
+    # unit cubic n = 22: 8 MB uint16 tables.  From the heap, the DP's freed
+    # table raised glibc's mmap threshold, two-phase's table then came from
+    # the brk heap and stayed resident: 7.1 MB more after the call
+    src = str(Path(minsumvc.__file__).resolve().parent.parent)
+    code = _RSS_CHILD.format(src=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=120)
+    assert abs(int(proc.stdout)) <= 1 << 20
 
 
 def test_exact_dp_and_counterexample_check_start_no_thread(monkeypatch):
